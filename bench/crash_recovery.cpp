@@ -15,9 +15,9 @@
 // Gate (exit 1 on any failure): the recovered PlatformRuns must be
 // bit-identical to the reference — decisions, request records, costs,
 // retries, and surrogate swap ticks — for every scenario in {calm, flaky,
-// chaos} at shard counts {1, 2, 5}, work stealing on. A calm pass plus two
-// transient-fault scenarios with retraining exercises every serialized
-// subsystem: calendar scheduler, simulator + fault streams, encoder cache,
+// chaos} at shard counts {1, 2, 5}. A calm pass plus two transient-fault
+// scenarios with retraining exercises every serialized subsystem:
+// calendar scheduler, simulator + fault streams, encoder cache,
 // breaker, harvester/drift/retrainer, and the versioned surrogate store.
 //
 // The harness then corrupts the last checkpoint four ways — truncation,

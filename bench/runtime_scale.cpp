@@ -1,17 +1,18 @@
 // Million-tenant runtime scaling (DESIGN.md §15): Zipf-skewed tenant
 // populations replayed through sim::Runtime at increasing fleet sizes,
-// with work-stealing shards and the calendar-queue tick scheduler. Control
-// intervals are STAGGERED across tenants (1000 distinct values), so tick
-// groups stay small and every control tick pays the scheduler's next_group
-// cost — under the old O(tenants) linear scan, per-tick cost grows with
-// the fleet; under the calendar queue it must stay roughly flat. That
-// flatness is this bench's pass/fail gate, together with shard invariance
-// of the replayed decisions.
+// with static tenant->shard partitions and the calendar-queue tick
+// scheduler. Control intervals are STAGGERED across tenants (1000 distinct
+// values), so tick groups stay small and every control tick pays the
+// scheduler's next_group cost — under the old O(tenants) linear scan,
+// per-tick cost grows with the fleet; under the calendar queue it must stay
+// roughly flat. That flatness is this bench's pass/fail gate, together with
+// shard invariance of the replayed decisions.
 //
 // The controller is a shared FixedController: decisions cost O(1), so
 // wall-clock isolates the runtime's own overheads — scheduler, event
-// delivery, registration (arena + validation memo). Shard speedup is
-// reported but INFORMATIONAL on hosts without enough cores to show one.
+// delivery, registration (arena + validation memo). The S-shard vs 1-shard
+// wall-clock speedup is printed per (tenants, skew) but is INFORMATIONAL:
+// hosts without enough cores cannot show one.
 //
 // Writes BENCH_runtime_scaling.json (this bench owns the file; the
 // decision-level divergence checks against solo replays live in
@@ -59,7 +60,6 @@ struct Point {
   double wall_seconds = 0.0;
   std::size_t tick_groups = 0;
   std::size_t control_ticks = 0;
-  std::size_t steals = 0;
   std::size_t max_queue_depth = 0;
   double us_per_tick = 0.0;
   double speedup_vs_1shard = 1.0;
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
   }
 
   bench::preamble(
-      "Runtime scale — Zipf fleets, work-stealing shards, calendar ticks",
+      "Runtime scale — Zipf fleets, static shards, calendar ticks",
       "per-tick scheduler cost must stay flat as the fleet grows; decisions "
       "must be shard-invariant; shard speedup is informational");
 
@@ -187,7 +187,6 @@ int main(int argc, char** argv) {
         p.wall_seconds = wall;
         p.tick_groups = stats.tick_groups;
         p.control_ticks = stats.control_ticks;
-        p.steals = stats.steals;
         p.max_queue_depth = stats.max_queue_depth;
         p.us_per_tick = stats.control_ticks > 0
                             ? 1e6 * wall / static_cast<double>(
@@ -212,9 +211,9 @@ int main(int argc, char** argv) {
         }
         std::printf("[scale] skew %.1f, %7zu tenants (%6zu live), %zu "
                     "shard(s): reg %.2fs, run %.2fs, %zu ticks, %.2f "
-                    "us/tick, %zu steals\n",
+                    "us/tick\n",
                     skew, tenants, live, shards, register_seconds, wall,
-                    p.control_ticks, p.us_per_tick, p.steals);
+                    p.control_ticks, p.us_per_tick);
         points.push_back(p);
       }
     }
@@ -250,12 +249,16 @@ int main(int argc, char** argv) {
                 kFlatnessBound);
   }
 
-  // Shard speedup: informational. A 1-core host cannot show one (the
-  // stealing executors time-slice one CPU), so the flat curve there is
-  // expected, not a failure; multi-core hosts print the observed ratio.
+  // Shard speedup: informational. A 1-core host cannot show one (the shard
+  // threads time-slice one CPU), so a flat curve there is expected, not a
+  // failure; multi-core hosts print the observed ratio.
   double best_speedup = 0.0;
   for (const Point& p : points) {
+    if (p.shards == 1) continue;
     best_speedup = std::max(best_speedup, p.speedup_vs_1shard);
+    std::printf("[speedup] skew %.1f, %7zu tenants: %zu shards vs 1: %.2fx "
+                "(informational)\n",
+                p.skew, p.tenants, p.shards, p.speedup_vs_1shard);
   }
   if (hardware < 2) {
     std::printf("[speedup] informational: single-core host, best observed "
@@ -267,12 +270,12 @@ int main(int argc, char** argv) {
                 best_speedup, hardware);
   }
 
-  Table t({"skew", "tenants", "shards", "ticks", "us_per_tick", "steals",
+  Table t({"skew", "tenants", "shards", "ticks", "us_per_tick", "speedup",
            "queue_depth"});
   for (const Point& p : points) {
     t.add_row({fmt(p.skew, 1), std::to_string(p.tenants),
                std::to_string(p.shards), std::to_string(p.control_ticks),
-               fmt(p.us_per_tick, 2), std::to_string(p.steals),
+               fmt(p.us_per_tick, 2), fmt(p.speedup_vs_1shard, 2),
                std::to_string(p.max_queue_depth)});
   }
   t.print(std::cout);
@@ -281,7 +284,6 @@ int main(int argc, char** argv) {
     std::ostringstream out;
     out << "{\n  \"bench\": \"runtime_scale\",\n"
         << "  \"hardware_concurrency\": " << hardware << ",\n"
-        << "  \"work_stealing\": true,\n"
         << "  \"horizon_s\": " << horizon_s << ",\n"
         << "  \"base_interval_s\": " << base_interval_s << ",\n"
         << "  \"top_rate\": " << top_rate << ",\n"
@@ -302,7 +304,6 @@ int main(int argc, char** argv) {
           << ", \"tick_groups\": " << p.tick_groups
           << ", \"control_ticks\": " << p.control_ticks
           << ", \"us_per_tick\": " << p.us_per_tick
-          << ", \"steals\": " << p.steals
           << ", \"max_queue_depth\": " << p.max_queue_depth
           << ", \"speedup_vs_1shard\": " << p.speedup_vs_1shard << "}"
           << (i + 1 < points.size() ? "," : "") << "\n";

@@ -10,9 +10,9 @@
 // registered destructors plus a handful of chunk frees.
 //
 // Not thread-safe by design: an arena belongs to exactly one RuntimeShard,
-// and a shard's state is only ever touched by the thread currently holding
-// the shard's claim (common/parallel.hpp ShardClaim hands the memory view
-// over with acquire/release ordering).
+// and a shard's state is only ever touched by the one thread driving that
+// shard (the pool's submit/wait hands the memory view over with
+// release/acquire ordering).
 
 #include <cstddef>
 #include <cstdint>

@@ -21,7 +21,6 @@
 // a large grain (or rely on the conservative default); callers whose items
 // are individually expensive (simulations, per-config solves) pass grain 1.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -214,38 +213,6 @@ class WorkerPool {
  private:
   std::shared_ptr<State> state_;
   std::vector<std::thread> workers_;
-};
-
-// ----------------------------------------------------------- work claim --
-
-/// Single-owner claim flag for work stealing over coarse stateful units
-/// (runtime shards). A unit's internal state carries NO synchronization of
-/// its own; instead, whoever wants to advance the unit must hold its claim:
-///
-///   if (claim.try_acquire()) { ...touch the unit's state...; claim.release(); }
-///
-/// try_acquire() is an acquire exchange and release() a release store, so a
-/// successful acquire happens-after every write the previous holder made
-/// before releasing — the unit's plain (unsynchronized) state is handed
-/// from executor to executor with the claim, and its operations run in a
-/// single serial order even though the executing thread changes. That
-/// serial order is what keeps work-stolen runs bit-identical to static
-/// schedules (DESIGN.md §15).
-class ShardClaim {
- public:
-  /// True when the caller now owns the unit (was unclaimed).
-  bool try_acquire() noexcept {
-    // Cheap relaxed peek first: stealing executors scan every shard per
-    // round, and most scans hit shards already claimed by their home
-    // executor — don't bounce the cache line with an exchange for those.
-    if (claimed_.load(std::memory_order_relaxed)) return false;
-    return !claimed_.exchange(true, std::memory_order_acquire);
-  }
-
-  void release() noexcept { claimed_.store(false, std::memory_order_release); }
-
- private:
-  std::atomic<bool> claimed_{false};
 };
 
 }  // namespace deepbat

@@ -1,10 +1,9 @@
 #pragma once
-// Controller-in-the-loop serverless platform on top of the DES engine —
-// the executable version of paper Fig. 2. A trace is replayed through the
-// Buffer; at a fixed control interval the attached Controller observes the
-// recent arrival history (the Workload Parser's view) and returns the
-// (M, B, T) configuration to apply next, exactly the DeepBAT request/control
-// flow. With a FixedController this degenerates to plain batching.
+// Controller-in-the-loop serverless platform — the executable version of
+// paper Fig. 2. A trace is replayed through the Buffer; at a fixed control
+// interval the attached Controller observes the recent arrival history (the
+// Workload Parser's view) and returns the (M, B, T) configuration to apply
+// next, exactly the DeepBAT request/control flow. With a FixedController this degenerates to plain batching.
 
 #include <cstdint>
 #include <memory>
@@ -12,7 +11,6 @@
 #include <vector>
 
 #include "sim/batch_sim.hpp"
-#include "sim/des.hpp"
 #include "workload/trace.hpp"
 
 namespace deepbat::sim {

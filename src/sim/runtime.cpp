@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -100,124 +101,58 @@ void Runtime::start() {
   }
 }
 
-std::vector<PlatformRun> Runtime::run() {
-  if (tenants_.empty()) return {};
-  start();
-  const std::size_t shard_count = shard_count_;
-  auto& shards = shards_;
-  auto& pool = pool_;
-
-  const bool stealing = options_.work_stealing && shard_count > 1;
-  std::exception_ptr error;
-  if (!stealing) {
-    // Static schedule: shards 1..S-1 run as pool tasks; shard 0 runs on
-    // the calling thread (the helping wait in WorkerPool would pull it
-    // onto this thread anyway). Wait for every shard before rethrowing so
-    // no shard is left touching its PlatformRuns when an error unwinds.
-    std::vector<WorkerPool::Handle> handles;
-    handles.reserve(shard_count > 0 ? shard_count - 1 : 0);
-    for (std::size_t s = 1; s < shard_count; ++s) {
-      handles.push_back(
-          pool->submit([shard = shards[s].get()] { shard->run(); }));
+void Runtime::drive(double limit, bool finalize) {
+  // Every shard drains on a thread of its own: tick groups are computed per
+  // shard, so the interleaving across shards never reaches the results.
+  // Shard 0 runs on the calling thread (the helping wait in WorkerPool
+  // would pull it onto this thread anyway). Wait for every shard before
+  // rethrowing so no shard is left touching its PlatformRuns when an error
+  // unwinds.
+  const auto drain = [limit, finalize](RuntimeShard& shard) {
+    while (shard.run_quantum(limit)) {
     }
+    if (finalize) shard.finalize_run();
+  };
+  std::vector<WorkerPool::Handle> handles;
+  handles.reserve(shard_count_ - 1);
+  for (std::size_t s = 1; s < shard_count_; ++s) {
+    handles.push_back(
+        pool_->submit([&drain, shard = shards_[s].get()] { drain(*shard); }));
+  }
+  std::exception_ptr error;
+  try {
+    drain(*shards_[0]);
+  } catch (...) {
+    error = std::current_exception();
+  }
+  for (WorkerPool::Handle& h : handles) h.wait();
+  for (WorkerPool::Handle& h : handles) {
+    if (error != nullptr) break;
     try {
-      shards[0]->run();
+      h.rethrow();
     } catch (...) {
       error = std::current_exception();
     }
-    for (WorkerPool::Handle& h : handles) h.wait();
-    for (WorkerPool::Handle& h : handles) {
-      if (error != nullptr) break;
-      try {
-        h.rethrow();
-      } catch (...) {
-        error = std::current_exception();
-      }
-    }
-  } else {
-    // Work stealing (DESIGN.md §15): S executors over S claimable shards.
-    // Each executor scans from its home shard, claims the first unclaimed
-    // unfinished shard it meets, and executes ONE tick group (or the final
-    // drain) under the claim. A shard's groups therefore run in the same
-    // serial order as run() — only the executing thread varies — which is
-    // what keeps stolen runs bit-identical to the static schedule.
-    //
-    // Termination: an executor retires when every shard is finished, or
-    // when a full scan claimed nothing while every unfinished shard was
-    // claimed by some other executor. The latter rule matters for
-    // liveness: an executor can be SUSPENDED holding a claim (its
-    // overlapped encode's helping wait may run another executor task
-    // nested on the same stack), and anyone spinning on its shard would
-    // deadlock the stack beneath. An executor that just released a claim
-    // always rescans before retiring, so the last holder of an unfinished
-    // shard either finishes it or hands it to a live executor.
-    auto execute = [&shards, shard_count](std::size_t home) {
-      for (;;) {
-        bool all_finished = true;
-        bool progressed = false;
-        for (std::size_t k = 0; k < shard_count; ++k) {
-          RuntimeShard* shard = shards[(home + k) % shard_count].get();
-          if (shard->finished()) continue;
-          all_finished = false;
-          if (!shard->try_claim()) continue;
-          // Re-check under the claim: the previous holder may have
-          // finalized (or failed) the shard just before releasing.
-          if (shard->finished()) {
-            shard->release_claim();
-            continue;
-          }
-          if (k != 0) shard->count_steal();
-          try {
-            if (!shard->run_quantum()) shard->finalize_run();
-          } catch (...) {
-            shard->fail(std::current_exception());
-          }
-          progressed = true;
-          shard->release_claim();
-        }
-        if (all_finished) return;
-        if (!progressed) {
-          // Claimed nothing: every unfinished shard is being driven (or
-          // held) by another executor — retire rather than spin against a
-          // possibly-suspended holder.
-          return;
-        }
-      }
-    };
-    std::vector<WorkerPool::Handle> handles;
-    handles.reserve(shard_count - 1);
-    for (std::size_t e = 1; e < shard_count; ++e) {
-      handles.push_back(pool->submit([&execute, e] { execute(e); }));
-    }
-    execute(0);
-    for (WorkerPool::Handle& h : handles) h.wait();
-    for (const auto& shard : shards) {
-      if (shard->error() != nullptr) {
-        error = shard->error();
-        break;
-      }
-    }
   }
   if (error != nullptr) std::rethrow_exception(error);
+}
+
+std::vector<PlatformRun> Runtime::run() {
+  if (tenants_.empty()) return {};
+  start();
+  drive(std::numeric_limits<double>::infinity(), /*finalize=*/true);
 
   // Fold per-shard stats in shard order on top of any pre-restore base:
   // counts sum, rates recompute, high-water marks take the max.
   stats_ = base_stats_;
-  for (const auto& shard : shards) stats_.merge(shard->stats());
+  for (const auto& shard : shards_) stats_.merge(shard->stats());
   return std::move(runs_);
 }
 
 void Runtime::run_until(double limit) {
   if (tenants_.empty()) return;
   start();
-  // Sequential stepwise advance: shard results are schedule-invariant, so
-  // draining each shard to the boundary on this thread is bit-identical to
-  // the parallel paths (only the timing-dependent steals / queue-depth
-  // stats can differ).
-  for (const auto& shard : shards_) {
-    while (shard->run_quantum(limit) == RuntimeShard::Quantum::kRan) {
-    }
-  }
+  drive(limit, /*finalize=*/false);
 }
 
 namespace {
@@ -237,7 +172,7 @@ void save_stats(CheckpointWriter& w, const RuntimeStats& s) {
   w.u64(s.fleet_groups);
   w.u64(s.cpu_invocations);
   w.u64(s.gpu_invocations);
-  w.u64(s.steals);
+  w.u64(0);  // steals: always 0, the slot keeps the layout stable
   w.u64(s.max_queue_depth);
 }
 
@@ -257,7 +192,7 @@ RuntimeStats restore_stats(CheckpointReader& r) {
   s.fleet_groups = static_cast<std::size_t>(r.u64());
   s.cpu_invocations = static_cast<std::size_t>(r.u64());
   s.gpu_invocations = static_cast<std::size_t>(r.u64());
-  s.steals = static_cast<std::size_t>(r.u64());
+  r.u64();  // steals slot: RuntimeStats::steals always reads 0
   s.max_queue_depth = static_cast<std::size_t>(r.u64());
   return s;
 }

@@ -245,13 +245,11 @@ struct RuntimeStats {
   std::size_t fleet_groups = 0;
   std::size_t cpu_invocations = 0;
   std::size_t gpu_invocations = 0;
-  /// Work-stealing accounting (DESIGN.md §15): tick-group claims taken by
-  /// an executor other than the shard's home executor (mirrored into the
-  /// sim.runtime.steals counter), and the high-water mark of pending live
-  /// tenant slots observed on any single shard (sim.runtime.queue_depth
-  /// gauge). Both depend on thread timing, so — unlike every other field —
-  /// they are NOT reproducible run over run; per-tenant results are.
+  /// Always 0: the shard schedule never moves work between shards. Kept so
+  /// existing readers and the checkpoint stats block keep their layout.
   std::size_t steals = 0;
+  /// High-water mark of pending live tenant slots observed on any single
+  /// shard (mirrored into the sim.runtime.queue_depth gauge).
   std::size_t max_queue_depth = 0;
 
   double cache_hit_rate() const {
@@ -280,7 +278,6 @@ struct RuntimeStats {
     fleet_groups += other.fleet_groups;
     cpu_invocations += other.cpu_invocations;
     gpu_invocations += other.gpu_invocations;
-    steals += other.steals;
     max_queue_depth = std::max(max_queue_depth, other.max_queue_depth);
   }
 };
@@ -296,16 +293,6 @@ struct RuntimeOptions {
   /// it can help — a shard with at least two tenants and a batch encoder.
   /// Results are bit-identical either way.
   bool overlap_encode = true;
-  /// Work-stealing execution (DESIGN.md §15): instead of pinning shard k to
-  /// executor k for its whole replay, every executor scans for a claimable
-  /// shard (home shard first) and executes ONE tick group per claim, so an
-  /// executor whose own shards drained keeps driving the lagging ones. A
-  /// shard's groups still run in strict serial order — the claim hands the
-  /// shard state between executors with acquire/release ordering — so
-  /// per-tenant results stay bit-identical to the static schedule at every
-  /// shard count; only the steals / queue-depth stats are timing-dependent.
-  /// No effect at 1 shard.
-  bool work_stealing = true;
 };
 
 /// The sharded executor. With a batch encoder, all SplitController tenants
@@ -361,12 +348,12 @@ class Runtime {
   std::vector<PlatformRun> run();
 
   /// Advance the replay through every tick group with instant <= `limit`
-  /// seconds, sequentially on the calling thread, and stop at that
-  /// tick-group boundary — no tenant is finalized. Determinism makes the
-  /// schedule irrelevant to results, so a partial sequential advance
-  /// followed by run() is bit-identical to a single run() at any shard
-  /// count. This is the checkpoint hook: call save_checkpoint() between
-  /// run_until() and run().
+  /// seconds, with the shards in parallel exactly as in run(), and stop at
+  /// that tick-group boundary — no tenant is finalized. Tick groups are
+  /// computed per shard, so any sequence of run_until() calls followed by
+  /// run() is bit-identical to a single run() at any shard count. This is
+  /// the checkpoint hook: call save_checkpoint() between run_until() and
+  /// run().
   void run_until(double limit);
 
   /// Snapshot the complete replay state — scheduler progress, simulator
@@ -395,6 +382,12 @@ class Runtime {
   /// Build the execution state once: partition tenants over shards, build
   /// the worker pool and per-shard encoder/scorer instances. Idempotent.
   void start();
+
+  /// The one shard schedule: shard 0 on the calling thread, shards 1..S-1
+  /// as WorkerPool tasks, each draining its quanta up to `limit` and then,
+  /// when `finalize` is set, finalizing its tenants. Joins every shard
+  /// before rethrowing the first error (in shard order).
+  void drive(double limit, bool finalize);
 
   BatchEncoder* encoder_;
   BatchScorer* scorer_ = nullptr;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 
 #include "common/error.hpp"
 #include "obs/trace.hpp"
@@ -37,7 +36,6 @@ RuntimeShard::RuntimeShard(Options options, BatchEncoder* encoder,
   c_fleet_groups_ = &registry.counter("sim.runtime.fleet_group");
   c_cpu_invocations_ = &registry.counter("sim.runtime.cpu_invocation");
   c_gpu_invocations_ = &registry.counter("sim.runtime.gpu_invocation");
-  c_steals_ = &registry.counter("sim.runtime.steals");
   g_queue_depth_ = &registry.gauge("sim.runtime.queue_depth");
   h_encode_ = &registry.histogram("sim.runtime.batch_encode_seconds");
   h_score_ = &registry.histogram("sim.runtime.batch_score_seconds");
@@ -94,10 +92,10 @@ void RuntimeShard::process_events(TenantState& st, double t) {
 void RuntimeShard::prepare() {
   prepared_ = true;
   // Tag spans completed while this shard executes. Worker threads are
-  // reused — and under stealing a shard hops threads — so the scope is
-  // opened per quantum, keyed by the SHARD, not the executor. Single-shard
-  // runs stay untagged: their trace output is byte-stable with the
-  // pre-sharding runtime.
+  // reused, and a shard may run on a different pool thread in each
+  // run_until() call, so the scope is opened per quantum, keyed by the
+  // SHARD, not the thread. Single-shard runs stay untagged: their trace
+  // output is byte-stable with the pre-sharding runtime.
   shard_tag_ = options_.shard_count > 1
                    ? static_cast<std::uint32_t>(options_.shard_id)
                    : obs::kNoShard;
@@ -112,20 +110,15 @@ void RuntimeShard::prepare() {
   }
 }
 
-bool RuntimeShard::run_quantum() {
-  return run_quantum(std::numeric_limits<double>::infinity()) ==
-         Quantum::kRan;
-}
-
-RuntimeShard::Quantum RuntimeShard::run_quantum(double limit) {
+bool RuntimeShard::run_quantum(double limit) {
   if (!prepared_) prepare();
   obs::ShardScope shard_scope(shard_tag_);
   const std::size_t d = encoding_dim_;
 
   const std::optional<double> t_opt = scheduler_.next_group(group_);
-  if (!t_opt.has_value()) return Quantum::kExhausted;
+  if (!t_opt.has_value()) return false;
   const double t = *t_opt;
-  if (t > limit) return Quantum::kDeferred;
+  if (t > limit) return false;
 
   // Queue-depth high-water: tenants whose replay is still pending on this
   // shard. live() only shrinks during a run, so the first quantum sets it.
@@ -295,7 +288,7 @@ RuntimeShard::Quantum RuntimeShard::run_quantum(double limit) {
   // batched forward. Under overlap the two run concurrently, so this is
   // the non-hidden remainder — exactly what double-buffering shrinks.
   h_tenant_->observe(std::max(group_seconds - encode_seconds, 0.0));
-  return Quantum::kRan;
+  return true;
 }
 
 void RuntimeShard::finalize_run() {
@@ -340,23 +333,6 @@ void RuntimeShard::finalize_run() {
       c_fleet_groups_->add();
     }
   }
-  finished_.store(true, std::memory_order_release);
-}
-
-void RuntimeShard::fail(std::exception_ptr error) {
-  error_ = error;
-  finished_.store(true, std::memory_order_release);
-}
-
-void RuntimeShard::count_steal() {
-  ++stats_.steals;
-  c_steals_->add();
-}
-
-void RuntimeShard::run() {
-  while (run_quantum()) {
-  }
-  finalize_run();
 }
 
 void RuntimeShard::save_tenant(std::size_t local, CheckpointWriter& w) const {

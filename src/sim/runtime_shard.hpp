@@ -8,17 +8,14 @@
 // shard), a TickScheduler over that subset, and a BatchEncoder view for the
 // shard's batched forwards.
 //
-// Two ways to drive a shard:
-//
-//  * run() — replay to completion on one thread (the static schedule).
-//  * the stepwise API — run_quantum() executes exactly ONE tick group and
-//    finalize_run() drains the tail; the work-stealing coordinator in
-//    Runtime::run() interleaves quanta of lagging shards across executors.
-//    A shard's quanta still execute in strict serial order: ONE executor at
-//    a time holds the shard's ShardClaim, and the claim's acquire/release
-//    ordering hands the shard's (unsynchronized) state from executor to
-//    executor. The executing thread changes; the computation does not — so
-//    per-tenant results stay bit-identical to run().
+// Driving a shard: run_quantum(limit) executes exactly ONE tick group whose
+// instant is <= limit, and finalize_run() drains the tail. Runtime gives
+// every shard one thread of its own for each run_until()/run() call —
+// shard 0 the calling thread, shards 1..S-1 a WorkerPool task each — and
+// that thread drains the shard's quanta up to the limit. Tenants never move
+// between shards and a shard never runs on two threads at once, so the
+// shard's state needs no synchronization of its own: the pool's
+// submit/wait publishes it from one call to the next.
 //
 // Within a quantum, tick groups are double-buffered exactly as before:
 // while the group's batched encode() forward runs as a WorkerPool task, the
@@ -29,13 +26,11 @@
 // Instrumentation: spans and sim.runtime.* metrics tick as before; a
 // multi-shard run additionally records sim.runtime.shard<k>.* histogram
 // variants and tags every span completed inside the shard with its id
-// (obs::ShardScope), all without hot-path locks. Stealing adds the
-// sim.runtime.steals counter and the sim.runtime.queue_depth high-water
-// gauge.
+// (obs::ShardScope), all without hot-path locks. The
+// sim.runtime.queue_depth gauge holds the high-water mark of pending
+// tenants on any one shard.
 
 #include <cstddef>
-#include <atomic>
-#include <exception>
 #include <string>
 #include <vector>
 
@@ -78,50 +73,18 @@ class RuntimeShard {
 
   std::size_t tenant_count() const { return tenants_.size(); }
 
-  /// Replay every owned tenant to the end of its trace on the calling
-  /// thread. Equivalent to run_quantum() until exhausted + finalize_run().
-  void run();
-
-  // ---- Stepwise API (work-stealing coordinator, DESIGN.md §15) ----
-  // None of these take locks: the caller serializes access by holding the
-  // shard's claim. finished() alone may be read without the claim (it is
-  // the coordinator's scan predicate).
-
-  bool try_claim() { return claim_.try_acquire(); }
-  void release_claim() { claim_.release(); }
-
-  /// Execute exactly one tick group. False when no pending group remains
-  /// (the caller should finalize_run() under the same claim).
-  bool run_quantum();
-
-  /// Outcome of a limit-bounded quantum (Runtime::run_until).
-  enum class Quantum {
-    kRan,       // one tick group executed
-    kDeferred,  // next group lies beyond the limit; nothing executed
-    kExhausted  // no pending group remains
-  };
-
-  /// Execute exactly one tick group whose instant is <= `limit`. Peeking a
-  /// group beyond the limit is free: next_group() is idempotent until the
-  /// group's complete_tick() calls, so a deferred group is re-formed intact
-  /// by the next quantum (or by a restored replay — the calendar is derived
-  /// state).
-  Quantum run_quantum(double limit);
+  /// Execute exactly one tick group whose instant is <= `limit`; false when
+  /// no pending group lies at or before the limit (nothing executed).
+  /// Peeking a group beyond the limit is free: next_group() is idempotent
+  /// until the group's complete_tick() calls, so a deferred group is
+  /// re-formed intact by the next quantum (or by a restored replay — the
+  /// calendar is derived state).
+  bool run_quantum(double limit);
 
   /// Drain every tenant's remaining arrivals, finalize simulators, and fill
-  /// the PlatformRuns; marks the shard finished (release order).
+  /// the PlatformRuns. Call once, after run_quantum(+infinity) returned
+  /// false.
   void finalize_run();
-
-  /// Record the error and retire the shard so no executor re-claims it. The
-  /// shard's PlatformRuns are left as-is (partially filled).
-  void fail(std::exception_ptr error);
-
-  bool finished() const { return finished_.load(std::memory_order_acquire); }
-  std::exception_ptr error() const { return error_; }
-
-  /// Record one quantum executed by a non-home executor (caller holds the
-  /// claim, so the plain counter bump is safe).
-  void count_steal();
 
   const RuntimeStats& stats() const { return stats_; }
 
@@ -174,13 +137,6 @@ class RuntimeShard {
   std::vector<TenantState> tenants_;
   RuntimeStats stats_;
 
-  // Steal-mode coordination. claim_ is the shard's ownership token;
-  // finished_ flips once (under the final claim) when finalize_run or
-  // fail retires the shard.
-  ShardClaim claim_;
-  std::atomic<bool> finished_{false};
-  std::exception_ptr error_;
-
   // Derived by prepare(); stable for the rest of the replay.
   bool prepared_ = false;
   bool overlap_ = false;
@@ -212,7 +168,6 @@ class RuntimeShard {
   obs::Counter* c_fleet_groups_;
   obs::Counter* c_cpu_invocations_;
   obs::Counter* c_gpu_invocations_;
-  obs::Counter* c_steals_;
   obs::Gauge* g_queue_depth_;
   obs::Histogram* h_encode_;
   obs::Histogram* h_score_;

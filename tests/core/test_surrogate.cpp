@@ -3,9 +3,9 @@
 #include "common/error.hpp"
 #include "core/surrogate.hpp"
 #include "nn/serialize.hpp"
+#include "scratch_dir.hpp"
 
 #include <cstdio>
-#include <filesystem>
 
 namespace deepbat::core {
 namespace {
@@ -162,9 +162,7 @@ TEST(SurrogateModel, SaveLoadPreservesPredictions) {
   auto cfg = tiny_config();
   Surrogate a(cfg, grid());
   a.set_training(false);
-  const auto path = (std::filesystem::temp_directory_path() /
-                     "deepbat_surrogate_test.bin")
-                        .string();
+  const auto path = test::scratch_path("surrogate_test.bin");
   nn::save_module(path, a);
 
   cfg.init_seed = 999;  // different init

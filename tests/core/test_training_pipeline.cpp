@@ -10,6 +10,7 @@
 #include "common/error.hpp"
 #include "core/pretrained.hpp"
 #include "workload/synth.hpp"
+#include "scratch_dir.hpp"
 
 namespace deepbat::core {
 namespace {
@@ -158,8 +159,7 @@ TEST(Pretrained, TrainsThenLoadsFromCache) {
   spec.surrogate.dropout = 0.0F;
   spec.dataset = tiny_dataset_options();
   spec.train.epochs = 3;
-  spec.cache_path = std::filesystem::temp_directory_path() /
-                    "deepbat_pretrained_test.bin";
+  spec.cache_path = test::scratch_path("pretrained_test.bin");
   std::filesystem::remove(spec.cache_path);
 
   const auto first = ensure_pretrained(trace, lambda::ConfigGrid::small(),

@@ -442,24 +442,17 @@ TEST(AdaptiveController, SwapsAndStaysReproducibleAndShardInvariant) {
   expect_runs_identical(solo_a, again);
 
   // Sharded runtime with the shared batch encoder: each tenant must match
-  // its solo replay bitwise, post-swap self-encoding included — with the
-  // work-stealing claim coordinator on AND off, since retraining replays
-  // (shadow eval, hot-swap ticks) must not observe the execution layout.
-  struct LayoutCase {
-    std::size_t shards;
-    bool stealing;
-  };
-  for (const LayoutCase lc :
-       {LayoutCase{1, true}, LayoutCase{2, true}, LayoutCase{2, false}}) {
-    SCOPED_TRACE("shards=" + std::to_string(lc.shards) +
-                 (lc.stealing ? " stealing" : " static"));
+  // its solo replay bitwise, post-swap self-encoding included — retraining
+  // replays (shadow eval, hot-swap ticks) must not observe the execution
+  // layout.
+  for (const std::size_t shards : {1, 2}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
     AdaptiveController ctl_a(model, opts);
     AdaptiveController ctl_b(model, opts);
     core::SurrogateBatchEncoder encoder(model);
     const lambda::LambdaModel lm;
     sim::RuntimeOptions ropts;
-    ropts.shards = lc.shards;
-    ropts.work_stealing = lc.stealing;
+    ropts.shards = shards;
     sim::Runtime runtime(&encoder, ropts);
     const workload::Trace* traces[] = {&trace_a, &trace_b};
     AdaptiveController* controllers[] = {&ctl_a, &ctl_b};

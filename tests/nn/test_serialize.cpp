@@ -9,20 +9,17 @@
 #include "common/rng.hpp"
 #include "nn/layers.hpp"
 #include "nn/serialize.hpp"
+#include "scratch_dir.hpp"
 
 namespace deepbat::nn {
 namespace {
-
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 TEST(Serialize, RoundTripTensors) {
   Rng rng(1);
   std::vector<std::pair<std::string, Tensor>> entries;
   entries.emplace_back("a", Tensor::randn({3, 4}, rng));
   entries.emplace_back("b.weight", Tensor::randn({2}, rng));
-  const std::string path = temp_path("deepbat_ser_roundtrip.bin");
+  const std::string path = test::scratch_path("ser_roundtrip.bin");
   save_tensors(path, entries);
   const auto loaded = load_tensors(path);
   ASSERT_EQ(loaded.size(), 2u);
@@ -34,7 +31,7 @@ TEST(Serialize, RoundTripTensors) {
 }
 
 TEST(Serialize, EmptySetRoundTrips) {
-  const std::string path = temp_path("deepbat_ser_empty.bin");
+  const std::string path = test::scratch_path("ser_empty.bin");
   save_tensors(path, {});
   EXPECT_TRUE(load_tensors(path).empty());
   std::remove(path.c_str());
@@ -43,7 +40,7 @@ TEST(Serialize, EmptySetRoundTrips) {
 TEST(Serialize, ModuleRoundTripRestoresForward) {
   Rng rng(2);
   FeedForward original(4, 8, 2, rng);
-  const std::string path = temp_path("deepbat_ser_module.bin");
+  const std::string path = test::scratch_path("ser_module.bin");
   save_module(path, original);
 
   Rng rng2(999);  // deliberately different init
@@ -59,7 +56,7 @@ TEST(Serialize, ModuleRoundTripRestoresForward) {
 TEST(Serialize, LoadRejectsMissingParameter) {
   Rng rng(3);
   FeedForward small(4, 8, 2, rng);
-  const std::string path = temp_path("deepbat_ser_missing.bin");
+  const std::string path = test::scratch_path("ser_missing.bin");
   save_tensors(path, {{"fc1.weight", Tensor::zeros({4, 8})}});
   EXPECT_THROW(load_module(path, small), Error);
   std::remove(path.c_str());
@@ -68,7 +65,7 @@ TEST(Serialize, LoadRejectsMissingParameter) {
 TEST(Serialize, LoadRejectsShapeMismatch) {
   Rng rng(4);
   FeedForward model(4, 8, 2, rng);
-  const std::string path = temp_path("deepbat_ser_shape.bin");
+  const std::string path = test::scratch_path("ser_shape.bin");
   std::vector<std::pair<std::string, Tensor>> entries;
   for (const auto& [name, var] : model.named_parameters()) {
     entries.emplace_back(name, Tensor::zeros({1}));  // wrong shapes
@@ -79,7 +76,7 @@ TEST(Serialize, LoadRejectsShapeMismatch) {
 }
 
 TEST(Serialize, RejectsCorruptMagic) {
-  const std::string path = temp_path("deepbat_ser_magic.bin");
+  const std::string path = test::scratch_path("ser_magic.bin");
   std::ofstream os(path, std::ios::binary);
   os << "NOPE additional garbage bytes";
   os.close();
@@ -89,7 +86,7 @@ TEST(Serialize, RejectsCorruptMagic) {
 
 TEST(Serialize, RejectsTruncatedFile) {
   Rng rng(5);
-  const std::string path = temp_path("deepbat_ser_trunc.bin");
+  const std::string path = test::scratch_path("ser_trunc.bin");
   save_tensors(path, {{"w", Tensor::randn({64}, rng)}});
   // Truncate mid-tensor.
   std::filesystem::resize_file(path, 40);
@@ -98,7 +95,7 @@ TEST(Serialize, RejectsTruncatedFile) {
 }
 
 TEST(Serialize, MissingFileThrows) {
-  EXPECT_THROW(load_tensors(temp_path("deepbat_no_such_file.bin")), Error);
+  EXPECT_THROW(load_tensors(test::scratch_path("no_such_file.bin")), Error);
 }
 
 // ------------------------------------------------ corruption fuzzing ------
@@ -125,12 +122,12 @@ void write_raw(const std::string& path, const std::string& bytes) {
 
 TEST(SerializeFuzz, EveryTruncationPrefixThrowsTypedError) {
   Rng rng(11);
-  const std::string path = temp_path("deepbat_ser_fuzz_trunc.bin");
+  const std::string path = test::scratch_path("ser_fuzz_trunc.bin");
   save_tensors(path, {{"a.weight", Tensor::randn({4, 6}, rng)},
                       {"b.bias", Tensor::randn({6}, rng)}});
   const std::string raw = read_raw(path);
   ASSERT_GT(raw.size(), 16u);
-  const std::string cut = temp_path("deepbat_ser_fuzz_trunc_cut.bin");
+  const std::string cut = test::scratch_path("ser_fuzz_trunc_cut.bin");
   for (std::size_t len = 0; len < raw.size(); ++len) {
     write_raw(cut, raw.substr(0, len));
     EXPECT_THROW(load_tensors(cut), Error) << "prefix length " << len;
@@ -141,11 +138,11 @@ TEST(SerializeFuzz, EveryTruncationPrefixThrowsTypedError) {
 
 TEST(SerializeFuzz, RandomBitFlipsNeverReachUndefinedBehavior) {
   Rng rng(22);
-  const std::string path = temp_path("deepbat_ser_fuzz_flip.bin");
+  const std::string path = test::scratch_path("ser_fuzz_flip.bin");
   save_tensors(path, {{"w", Tensor::randn({8, 8}, rng)},
                       {"v", Tensor::randn({16}, rng)}});
   const std::string raw = read_raw(path);
-  const std::string flip = temp_path("deepbat_ser_fuzz_flip_bad.bin");
+  const std::string flip = test::scratch_path("ser_fuzz_flip_bad.bin");
   Rng fuzz(333);
   for (int trial = 0; trial < 256; ++trial) {
     std::string bad = raw;
@@ -189,7 +186,7 @@ TEST(SerializeFuzz, RejectsDimensionOverflowBeforeAllocating) {
     append_pod(d3);
     return bytes;
   };
-  const std::string path = temp_path("deepbat_ser_fuzz_dims.bin");
+  const std::string path = test::scratch_path("ser_fuzz_dims.bin");
   const std::int64_t big = std::int64_t{1} << 20;
   write_raw(path, craft(big, big, big, big));  // 2^80 elements
   EXPECT_THROW(load_tensors(path), Error);

@@ -9,7 +9,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <span>
@@ -24,13 +23,10 @@
 #include "sim/faults.hpp"
 #include "sim/tick_scheduler.hpp"
 #include "workload/synth.hpp"
+#include "scratch_dir.hpp"
 
 namespace deepbat::sim {
 namespace {
-
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 // ------------------------------------------------ writer / reader ------
 
@@ -137,7 +133,7 @@ TEST(CheckpointEnvelope, FileRoundTripsAndRejectsEveryCorruption) {
   CheckpointWriter w;
   w.str("payload under test");
   w.u64(0x1122334455667788ull);
-  const std::string path = temp_path("deepbat_ckpt_env.bin");
+  const std::string path = test::scratch_path("ckpt_env.bin");
   write_checkpoint_file(path, w.bytes());
   EXPECT_EQ(read_checkpoint_file(path), w.bytes());
 
@@ -180,7 +176,7 @@ TEST(CheckpointEnvelope, FileRoundTripsAndRejectsEveryCorruption) {
   // Trailing garbage after the checksum.
   EXPECT_THROW(read_checkpoint_file(write_variant(raw + "zzz")), Error);
   // Missing file.
-  EXPECT_THROW(read_checkpoint_file(temp_path("deepbat_no_such_ckpt.bin")),
+  EXPECT_THROW(read_checkpoint_file(test::scratch_path("no_such_ckpt.bin")),
                Error);
   std::remove(path.c_str());
   std::remove((path + ".corrupt").c_str());

@@ -63,19 +63,24 @@ void expect_bit_identical(const PlatformRun& a, const PlatformRun& b) {
 
 // ------------------------------------------------ shard invariance ------
 
+// The `_NoSteal` cases keep the names of the former stealing-off matrix.
+// The static schedule they pinned is now the only one, so they vary the
+// driver instead: the replay advances through parallel run_until() steps
+// (kSteps) before run() finishes it.
+constexpr double kSteps[] = {50.0, 95.0};
+
 struct ShardCase {
   std::size_t shards;
   bool shared_encoder;
   bool overlap;
-  bool stealing = true;
+  bool stepped = false;  // run_until(kSteps...) before run()
 };
 
 std::string shard_case_name(const ::testing::TestParamInfo<ShardCase>& info) {
   const ShardCase& c = info.param;
   return "Shards" + std::to_string(c.shards) +
          (c.shared_encoder ? "_Encoder" : "_NoEncoder") +
-         (c.overlap ? "_Overlap" : "_Sync") +
-         (c.stealing ? "" : "_NoSteal");
+         (c.overlap ? "_Overlap" : "_Sync") + (c.stepped ? "_NoSteal" : "");
 }
 
 class RuntimeShardInvariance : public ::testing::TestWithParam<ShardCase> {};
@@ -113,7 +118,6 @@ TEST_P(RuntimeShardInvariance, BitIdenticalToSoloRuns) {
   RuntimeOptions ropts;
   ropts.shards = c.shards;
   ropts.overlap_encode = c.overlap;
-  ropts.work_stealing = c.stealing;
   Runtime runtime(c.shared_encoder ? &encoder : nullptr, ropts);
   std::vector<std::unique_ptr<core::DeepBatController>> controllers;
   for (const TenantDef& def : defs) {
@@ -127,6 +131,9 @@ TEST_P(RuntimeShardInvariance, BitIdenticalToSoloRuns) {
     spec.initial_config = {1024, 1, 0.0};
     spec.options.control_interval_s = def.interval;
     runtime.add_tenant(std::move(spec));
+  }
+  if (c.stepped) {
+    for (const double limit : kSteps) runtime.run_until(limit);
   }
   const auto merged = runtime.run();
 
@@ -158,12 +165,9 @@ INSTANTIATE_TEST_SUITE_P(
                       ShardCase{2, true, true}, ShardCase{2, true, false},
                       ShardCase{2, false, true}, ShardCase{5, true, true},
                       ShardCase{5, true, false}, ShardCase{5, false, true},
-                      // Work-stealing OFF (static tenant->shard schedule):
-                      // the claim coordinator must be a pure execution-
-                      // layout detail — same bits either way.
-                      ShardCase{2, true, true, false},
-                      ShardCase{5, true, true, false},
-                      ShardCase{5, false, true, false}),
+                      ShardCase{2, true, true, true},
+                      ShardCase{5, true, true, true},
+                      ShardCase{5, false, true, true}),
     shard_case_name);
 
 // Shard invariance must survive the fault layer: the fault stream id lives
@@ -173,7 +177,8 @@ INSTANTIATE_TEST_SUITE_P(
 // run_platform() with the same options.
 struct FaultCase {
   std::size_t shards;
-  bool stealing;
+  std::uint32_t chaos_seed;  // seeds the chaos fault plan
+  bool stepped = false;      // run_until(kSteps...) before run()
 };
 
 class FaultedShardInvariance : public ::testing::TestWithParam<FaultCase> {};
@@ -183,7 +188,7 @@ TEST_P(FaultedShardInvariance, ChaosReplayBitIdenticalToSolo) {
   core::Surrogate model(tiny_config(), lambda::ConfigGrid::small());
   model.set_training(false);
   const lambda::LambdaModel lm;
-  const FaultPlan plan = fault_scenario("chaos", 23);
+  const FaultPlan plan = fault_scenario("chaos", GetParam().chaos_seed);
 
   std::vector<workload::Trace> traces;
   traces.push_back(workload::twitter_like({.hours = 0.05}, 31));
@@ -210,7 +215,6 @@ TEST_P(FaultedShardInvariance, ChaosReplayBitIdenticalToSolo) {
   RuntimeOptions ropts;
   ropts.shards = shards;
   ropts.overlap_encode = true;
-  ropts.work_stealing = GetParam().stealing;
   Runtime runtime(&encoder, ropts);
   std::vector<std::unique_ptr<core::DeepBatController>> controllers;
   for (std::size_t i = 0; i < traces.size(); ++i) {
@@ -225,6 +229,9 @@ TEST_P(FaultedShardInvariance, ChaosReplayBitIdenticalToSolo) {
     spec.options = popts[i];
     runtime.add_tenant(std::move(spec));
   }
+  if (GetParam().stepped) {
+    for (const double limit : kSteps) runtime.run_until(limit);
+  }
   const auto merged = runtime.run();
 
   ASSERT_EQ(merged.size(), traces.size());
@@ -236,12 +243,11 @@ TEST_P(FaultedShardInvariance, ChaosReplayBitIdenticalToSolo) {
 
 INSTANTIATE_TEST_SUITE_P(
     ShardCounts, FaultedShardInvariance,
-    ::testing::Values(FaultCase{1, true}, FaultCase{2, true},
-                      FaultCase{5, true}, FaultCase{2, false},
-                      FaultCase{5, false}),
+    ::testing::Values(FaultCase{1, 23}, FaultCase{2, 23}, FaultCase{5, 41},
+                      FaultCase{2, 23, true}, FaultCase{5, 23, true}),
     [](const ::testing::TestParamInfo<FaultCase>& info) {
       return "Shards" + std::to_string(info.param.shards) +
-             (info.param.stealing ? "" : "_NoSteal");
+             (info.param.stepped ? "_NoSteal" : "");
     });
 
 // TSan target (scripts/check.sh): 8 tenants over 4 shards with overlapped
@@ -301,14 +307,12 @@ TEST(RuntimeTest, ConcurrentShardsStressMatchesSolo) {
   }
 }
 
-// TSan target (scripts/check.sh): the work-stealing coordinator under
-// contention. More shards than pool executors would ever stay pinned to,
-// tiny control intervals so quanta are short and claims change hands
-// often. Results must still be bit-identical to solo replays — stealing
-// moves WHERE a tick group runs, never WHAT it computes — and the steal /
-// queue-depth telemetry must land in RuntimeStats and the process metrics
-// registry.
-TEST(RuntimeTest, WorkStealingStressMatchesSolo) {
+// TSan target (scripts/check.sh): more shards than cores, each a pool task
+// of its own, with overlapped encodes queued on the same pool and tiny
+// control intervals so tick groups are short and the pool's queue churns.
+// Results must still be bit-identical to solo replays, and the queue-depth
+// telemetry must land in RuntimeStats.
+TEST(RuntimeTest, SixShardOverlapStressMatchesSolo) {
   core::Surrogate model(tiny_config(), lambda::ConfigGrid::small());
   model.set_training(false);
   const lambda::LambdaModel lm;
@@ -329,14 +333,10 @@ TEST(RuntimeTest, WorkStealingStressMatchesSolo) {
     solo.push_back(run_platform(traces[i], ctl, lm, {1024, 1, 0.0}, popts));
   }
 
-  const std::uint64_t steals_before =
-      obs::MetricsRegistry::instance().counter("sim.runtime.steals").value();
-
   core::SurrogateBatchEncoder encoder(model);
   RuntimeOptions ropts;
   ropts.shards = 6;
   ropts.overlap_encode = true;
-  ropts.work_stealing = true;
   Runtime runtime(&encoder, ropts);
   std::vector<std::unique_ptr<core::DeepBatController>> controllers;
   for (std::size_t i = 0; i < traces.size(); ++i) {
@@ -358,21 +358,79 @@ TEST(RuntimeTest, WorkStealingStressMatchesSolo) {
     expect_bit_identical(solo[i], merged[i]);
   }
 
-  // Telemetry: every shard saw at least one pending slot, so the queue
-  // high-water mark is positive; steals are timing-dependent (may be zero
-  // on a lightly loaded run) but RuntimeStats and the registry counter
-  // must agree on this run's contribution.
+  // Every shard saw at least one pending slot, so the queue high-water mark
+  // is positive. The schedule never moves work between shards, so steals
+  // always reads 0.
   const RuntimeStats& stats = runtime.stats();
   EXPECT_GT(stats.max_queue_depth, 0u);
-  const std::uint64_t steals_after =
-      obs::MetricsRegistry::instance().counter("sim.runtime.steals").value();
-  EXPECT_EQ(steals_after - steals_before, stats.steals);
+  EXPECT_EQ(stats.steals, 0u);
 }
 
-// The steal / queue-depth metrics ride the generic exporters: after any
-// sharded run both names appear in the JSON document and the Prometheus
-// exposition (counter family gets the _total suffix).
-TEST(RuntimeTest, StealMetricsAppearInExporters) {
+// run_until() drives the shards in parallel exactly like run(), so any
+// sequence of stepwise advances must end bit-identical to one plain run(),
+// stats included. Limits land before the first tick, mid-trace (twice, one
+// of them repeated), and past the end.
+TEST(RuntimeTest, ParallelRunUntilStepsMatchPlainRun) {
+  core::Surrogate model(tiny_config(), lambda::ConfigGrid::small());
+  model.set_training(false);
+  const lambda::LambdaModel lm;
+  std::vector<workload::Trace> traces;
+  traces.push_back(workload::twitter_like({.hours = 0.05}, 31));
+  traces.push_back(workload::azure_like({.hours = 0.05}, 17));
+  traces.push_back(workload::twitter_like({.hours = 0.04}, 99));
+  traces.push_back(workload::azure_like({.hours = 0.04}, 7));
+  traces.push_back(workload::twitter_like({.hours = 0.03}, 55));
+  const double intervals[] = {30.0, 45.0, 30.0, 60.0, 45.0};
+
+  for (const std::size_t shards : {1, 2, 5}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const auto replay = [&](const std::vector<double>& limits,
+                            RuntimeStats* stats) {
+      core::SurrogateBatchEncoder encoder(model);
+      RuntimeOptions ropts;
+      ropts.shards = shards;
+      Runtime runtime(&encoder, ropts);
+      std::vector<std::unique_ptr<core::DeepBatController>> controllers;
+      for (std::size_t i = 0; i < traces.size(); ++i) {
+        controllers.push_back(std::make_unique<core::DeepBatController>(
+            model, controller_options()));
+        TenantSpec spec;
+        spec.name = "tenant";
+        spec.trace = &traces[i];
+        spec.controller = controllers.back().get();
+        spec.model = &lm;
+        spec.initial_config = {1024, 1, 0.0};
+        spec.options.control_interval_s = intervals[i];
+        runtime.add_tenant(std::move(spec));
+      }
+      for (const double limit : limits) runtime.run_until(limit);
+      auto runs = runtime.run();
+      *stats = runtime.stats();
+      return runs;
+    };
+    RuntimeStats plain_stats;
+    RuntimeStats stepped_stats;
+    const auto plain = replay({}, &plain_stats);
+    const auto stepped =
+        replay({-1.0, 50.0, 95.0, 95.0, 1e9}, &stepped_stats);
+    ASSERT_EQ(stepped.size(), plain.size());
+    for (std::size_t i = 0; i < plain.size(); ++i) {
+      SCOPED_TRACE("tenant " + std::to_string(i));
+      expect_bit_identical(plain[i], stepped[i]);
+    }
+    EXPECT_EQ(stepped_stats.tick_groups, plain_stats.tick_groups);
+    EXPECT_EQ(stepped_stats.control_ticks, plain_stats.control_ticks);
+    EXPECT_EQ(stepped_stats.cache_hits, plain_stats.cache_hits);
+    EXPECT_EQ(stepped_stats.cache_misses, plain_stats.cache_misses);
+    EXPECT_EQ(stepped_stats.batched_windows, plain_stats.batched_windows);
+    EXPECT_EQ(stepped_stats.encode_calls, plain_stats.encode_calls);
+    EXPECT_EQ(stepped_stats.max_queue_depth, plain_stats.max_queue_depth);
+  }
+}
+
+// The queue-depth gauge rides the generic exporters: after any sharded run
+// it appears in the JSON document and the Prometheus exposition.
+TEST(RuntimeTest, QueueDepthGaugeAppearsInExporters) {
   core::Surrogate model(tiny_config(), lambda::ConfigGrid::small());
   model.set_training(false);
   const lambda::LambdaModel lm;
@@ -398,16 +456,12 @@ TEST(RuntimeTest, StealMetricsAppearInExporters) {
 
   const obs::MetricsSnapshot snap =
       obs::MetricsRegistry::instance().snapshot();
-  ASSERT_NE(snap.counter("sim.runtime.steals"), nullptr);
   ASSERT_NE(snap.gauge("sim.runtime.queue_depth"), nullptr);
   EXPECT_GT(snap.gauge("sim.runtime.queue_depth")->value, 0.0);
 
   const std::string json = obs::to_json(snap);
-  EXPECT_NE(json.find("\"sim.runtime.steals\""), std::string::npos);
   EXPECT_NE(json.find("\"sim.runtime.queue_depth\""), std::string::npos);
   const std::string prom = obs::to_prometheus(snap);
-  EXPECT_NE(prom.find("deepbat_sim_runtime_steals_total"),
-            std::string::npos);
   EXPECT_NE(prom.find("deepbat_sim_runtime_queue_depth"),
             std::string::npos);
 }
@@ -427,7 +481,6 @@ TEST(RuntimeStatsTest, MergeSumsCountsAndRecomputesHitRate) {
   a.fleet_groups = 1;
   a.cpu_invocations = 40;
   a.gpu_invocations = 0;
-  a.steals = 4;
   a.max_queue_depth = 100;
   RuntimeStats b;
   b.tick_groups = 4;
@@ -441,7 +494,6 @@ TEST(RuntimeStatsTest, MergeSumsCountsAndRecomputesHitRate) {
   b.fleet_groups = 2;
   b.cpu_invocations = 5;
   b.gpu_invocations = 13;
-  b.steals = 9;
   b.max_queue_depth = 60;
 
   a.merge(b);
@@ -457,9 +509,8 @@ TEST(RuntimeStatsTest, MergeSumsCountsAndRecomputesHitRate) {
   EXPECT_EQ(a.fleet_groups, 3u);
   EXPECT_EQ(a.cpu_invocations, 45u);
   EXPECT_EQ(a.gpu_invocations, 13u);
-  // Steals fold as a sum; the queue high-water mark folds as a MAX (a
-  // fleet-wide depth is the deepest any shard ever got, not their total).
-  EXPECT_EQ(a.steals, 13u);
+  // The queue high-water mark folds as a MAX (a fleet-wide depth is the
+  // deepest any shard ever got, not their total).
   EXPECT_EQ(a.max_queue_depth, 100u);
   // The folded hit rate comes from the summed counts (9 / 20), NOT the
   // mean of the per-shard rates (0.9 and 0.0 would average to 0.45 too —

@@ -1,6 +1,6 @@
 // Runtime-level durability contract (DESIGN.md §16): a replay advanced to a
 // tick-group boundary, checkpointed, and restored into a FRESH runtime —
-// fresh controllers, any shard count, stealing on or off — must finish
+// fresh controllers, any shard count — must finish
 // bit-identical, per tenant, to the uninterrupted run. Corrupt snapshots
 // and mismatched tenant rosters are rejected with typed errors before any
 // state is touched. The cross-process variant of this test (kill -9 at a
@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -20,6 +19,7 @@
 #include "sim/checkpoint.hpp"
 #include "sim/runtime.hpp"
 #include "workload/synth.hpp"
+#include "scratch_dir.hpp"
 
 namespace deepbat::sim {
 namespace {
@@ -35,10 +35,6 @@ core::DeepBatControllerOptions controller_options() {
   core::DeepBatControllerOptions opts;
   opts.grid = lambda::ConfigGrid::small();
   return opts;
-}
-
-std::string temp_path(const std::string& name) {
-  return (std::filesystem::temp_directory_path() / name).string();
 }
 
 void expect_bit_identical(const PlatformRun& a, const PlatformRun& b) {
@@ -88,11 +84,10 @@ struct Harness {
     traces.push_back(workload::twitter_like({.hours = 0.04}, 99));
   }
 
-  Runtime& build(std::size_t shards, bool stealing = true) {
+  Runtime& build(std::size_t shards) {
     controllers.clear();
     RuntimeOptions ropts;
     ropts.shards = shards;
-    ropts.work_stealing = stealing;
     runtime = std::make_unique<Runtime>(&encoder, ropts);
     for (std::size_t i = 0; i < traces.size(); ++i) {
       controllers.push_back(std::make_unique<core::DeepBatController>(
@@ -114,9 +109,13 @@ struct Harness {
 };
 
 struct RestoreCase {
-  std::size_t save_shards;
-  std::size_t restore_shards;
-  bool stealing;
+  std::uint32_t save_shards;
+  std::uint32_t restore_shards;
+  double save_at;  // run_until() boundary of the checkpoint, seconds
+  // The `_NoSteal` case keeps the name of the former stealing-off case. The
+  // static schedule it pinned is now the only one, so it varies the driver
+  // instead: both halves advance through extra parallel run_until() steps.
+  bool stepped = false;
 };
 
 class RuntimeCheckpoint : public ::testing::TestWithParam<RestoreCase> {};
@@ -136,13 +135,15 @@ TEST_P(RuntimeCheckpoint, SaveRestoreFinishesBitIdentical) {
   for (const auto& run : reference) total_retries += run.result.retries;
   EXPECT_GT(total_retries, 0u);  // the chaos faults actually bit
 
-  const std::string path = temp_path("deepbat_runtime_ckpt.bin");
-  Runtime& saver = h.build(c.save_shards, c.stealing);
-  saver.run_until(90.0);
+  const std::string path = test::scratch_path("runtime_ckpt.bin");
+  Runtime& saver = h.build(c.save_shards);
+  if (c.stepped) saver.run_until(c.save_at / 2.0);
+  saver.run_until(c.save_at);
   saver.save_checkpoint(path);
 
-  Runtime& restored = h.build(c.restore_shards, c.stealing);
+  Runtime& restored = h.build(c.restore_shards);
   restored.restore_checkpoint(path);
+  if (c.stepped) restored.run_until(c.save_at + 45.0);
   const std::vector<PlatformRun> resumed = restored.run();
 
   ASSERT_EQ(resumed.size(), reference.size());
@@ -153,9 +154,10 @@ TEST_P(RuntimeCheckpoint, SaveRestoreFinishesBitIdentical) {
 
   // Stitched stats: the pre-crash half rides the checkpoint and merges with
   // the post-restore half, so the deterministic control-plane totals match
-  // the uninterrupted run. (steals / max_queue_depth are timing-dependent
-  // and excluded by contract; encode totals depend on cache state, which IS
-  // checkpointed, so they match too.)
+  // the uninterrupted run. (max_queue_depth is a per-shard high-water mark
+  // that depends on the save/restore layout and is excluded by contract;
+  // encode totals depend on cache state, which IS checkpointed, so they
+  // match too.)
   const RuntimeStats& st = restored.stats();
   EXPECT_EQ(st.control_ticks, ref_stats.control_ticks);
   EXPECT_EQ(st.cache_hits, ref_stats.cache_hits);
@@ -167,13 +169,14 @@ TEST_P(RuntimeCheckpoint, SaveRestoreFinishesBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(
     ShardCounts, RuntimeCheckpoint,
-    ::testing::Values(RestoreCase{1, 1, true}, RestoreCase{2, 2, true},
-                      RestoreCase{5, 5, true}, RestoreCase{1, 5, true},
-                      RestoreCase{5, 1, true}, RestoreCase{2, 2, false}),
+    ::testing::Values(RestoreCase{1, 1, 90.0}, RestoreCase{2, 2, 90.0},
+                      RestoreCase{5, 5, 60.0}, RestoreCase{1, 5, 90.0},
+                      RestoreCase{5, 1, 120.0},
+                      RestoreCase{2, 2, 90.0, true}),
     [](const ::testing::TestParamInfo<RestoreCase>& info) {
       return "Save" + std::to_string(info.param.save_shards) + "Restore" +
              std::to_string(info.param.restore_shards) +
-             (info.param.stealing ? "" : "_NoSteal");
+             (info.param.stepped ? "_NoSteal" : "");
     });
 
 // Mixed roster: a BATCH (batchlib) tenant rides the same snapshot as the
@@ -212,7 +215,7 @@ TEST(RuntimeCheckpointTest, MixedControllerFamiliesRoundTrip) {
   auto ref = build(d1, b1, enc);
   const auto reference = ref->run();
 
-  const std::string path = temp_path("deepbat_runtime_ckpt_mixed.bin");
+  const std::string path = test::scratch_path("runtime_ckpt_mixed.bin");
   core::DeepBatController d2(model, controller_options());
   batchlib::BatchController b2(lm, bopts);
   auto saver = build(d2, b2, enc);
@@ -241,7 +244,7 @@ TEST(RuntimeCheckpointTest, SaveBeforeFirstTickRestoresFullReplay) {
   Runtime& ref = h.build(1);
   const auto reference = ref.run();
 
-  const std::string path = temp_path("deepbat_runtime_ckpt_t0.bin");
+  const std::string path = test::scratch_path("runtime_ckpt_t0.bin");
   Runtime& saver = h.build(2);
   saver.run_until(-1.0);
   saver.save_checkpoint(path);
@@ -261,7 +264,7 @@ TEST(RuntimeCheckpointTest, SaveBeforeFirstTickRestoresFullReplay) {
 // controllers, and restore-after-start are all rejected with deepbat::Error.
 TEST(RuntimeCheckpointTest, RejectsCorruptionAndMisuse) {
   Harness h;
-  const std::string path = temp_path("deepbat_runtime_ckpt_err.bin");
+  const std::string path = test::scratch_path("runtime_ckpt_err.bin");
   Runtime& saver = h.build(2);
   saver.run_until(90.0);
   saver.save_checkpoint(path);
@@ -318,33 +321,30 @@ TEST(RuntimeCheckpointTest, RejectsCorruptionAndMisuse) {
     spec.options.control_interval_s = 30.0;
     plain.add_tenant(std::move(spec));
     plain.run_until(-1.0);
-    EXPECT_THROW(plain.save_checkpoint(temp_path("deepbat_nockpt.bin")),
+    EXPECT_THROW(plain.save_checkpoint(test::scratch_path("nockpt.bin")),
                  Error);
   }
   std::remove(path.c_str());
 }
 
 // ---------------------------------------------------- stats folding ------
-// PR 9's steals / max_queue_depth under merge(), including the zero-run and
-// single-run edge cases a restored-run stitch exercises: stitching an empty
-// pre-crash half (crash before the first group) and folding exactly one
-// live shard must both be identity operations.
+// max_queue_depth under merge(), including the zero-run and single-run edge
+// cases a restored-run stitch exercises: stitching an empty pre-crash half
+// (crash before the first group) and folding exactly one live shard must
+// both be identity operations.
 
-TEST(RuntimeStatsTest, MergeStealFieldsZeroAndSingleRunEdges) {
+TEST(RuntimeStatsTest, MergeQueueDepthZeroAndSingleRunEdges) {
   // Zero-run stitch: merging a default-constructed snapshot changes
   // nothing, in either direction.
   RuntimeStats empty;
   empty.merge(RuntimeStats{});
-  EXPECT_EQ(empty.steals, 0u);
   EXPECT_EQ(empty.max_queue_depth, 0u);
   EXPECT_DOUBLE_EQ(empty.cache_hit_rate(), 0.0);
 
   RuntimeStats live;
-  live.steals = 7;
   live.max_queue_depth = 12;
   live.control_ticks = 40;
   live.merge(RuntimeStats{});
-  EXPECT_EQ(live.steals, 7u);
   EXPECT_EQ(live.max_queue_depth, 12u);
   EXPECT_EQ(live.control_ticks, 40u);
 
@@ -352,18 +352,14 @@ TEST(RuntimeStatsTest, MergeStealFieldsZeroAndSingleRunEdges) {
   // identity on every field, the high-water mark included.
   RuntimeStats base;
   base.merge(live);
-  EXPECT_EQ(base.steals, 7u);
   EXPECT_EQ(base.max_queue_depth, 12u);
   EXPECT_EQ(base.control_ticks, 40u);
 
-  // Multi-fold: steals SUM across stitched halves, the queue high-water
-  // mark takes the MAX (a restored run's depth is the deepest either half
-  // ever got, not their total).
+  // Multi-fold: the queue high-water mark takes the MAX (a restored run's
+  // depth is the deepest either half ever got, not their total).
   RuntimeStats other;
-  other.steals = 5;
   other.max_queue_depth = 9;
   base.merge(other);
-  EXPECT_EQ(base.steals, 12u);
   EXPECT_EQ(base.max_queue_depth, 12u);
   RuntimeStats deeper;
   deeper.max_queue_depth = 30;

@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 
 #include "common/error.hpp"
 #include "workload/trace.hpp"
+#include "scratch_dir.hpp"
 
 namespace deepbat::workload {
 namespace {
@@ -97,8 +97,7 @@ TEST(Trace, AppendKeepsMonotonicity) {
 
 TEST(Trace, SaveLoadRoundTrip) {
   Trace t({0.125, 1.25, 7.5});
-  const auto path =
-      (std::filesystem::temp_directory_path() / "deepbat_trace.txt").string();
+  const auto path = test::scratch_path("trace.txt");
   t.save(path);
   const Trace loaded = Trace::load(path);
   ASSERT_EQ(loaded.size(), 3u);
