@@ -11,6 +11,7 @@
 #include "common/fileio.hpp"
 #include "nn/serialize.hpp"
 #include "sim/faults.hpp"
+#include "sim/run_identity.hpp"
 
 namespace deepbat::bench {
 
@@ -382,6 +383,16 @@ void write_metrics_snapshot(const std::string& path) {
                 "empty — unset DEEPBAT_OBS to enable)\n",
                 path.c_str());
   }
+}
+
+bool same_runs(const std::string& label, std::span<const sim::PlatformRun> a,
+               std::span<const sim::PlatformRun> b) {
+  const auto d = sim::first_divergence(a, b);
+  if (d) {
+    std::printf("%s first_divergence: %s\n", label.c_str(),
+                sim::to_string(*d).c_str());
+  }
+  return !d;
 }
 
 }  // namespace deepbat::bench

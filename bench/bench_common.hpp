@@ -186,4 +186,10 @@ class JsonReport {
 /// No-op when `path` is empty.
 void write_metrics_snapshot(const std::string& path);
 
+/// The replay gates' run-identity check (sim::first_divergence, DESIGN.md
+/// §10): true when `a` and `b` are the same run; otherwise prints
+/// "<label> first_divergence: <where>" and returns false.
+bool same_runs(const std::string& label, std::span<const sim::PlatformRun> a,
+               std::span<const sim::PlatformRun> b);
+
 }  // namespace deepbat::bench

@@ -27,11 +27,12 @@ using namespace deepbat;
 
 namespace {
 
-// One shared definition of run identity (bench::run_identical in
-// replay_common.hpp) keeps this gate and the crash-recovery gate honest
-// about the same fields.
-bool identical(const sim::PlatformRun& a, const sim::PlatformRun& b) {
-  return bench::run_identical(a, b);
+// Both tenants of two head-to-head replays under the run-identity gate.
+bool same_replay(const std::string& label, const bench::Replay& a,
+                 const bench::Replay& b) {
+  return bench::same_runs(label + " deepbat", {&a.deepbat, 1},
+                          {&b.deepbat, 1}) &&
+         bench::same_runs(label + " batch", {&a.batch, 1}, {&b.batch, 1});
 }
 
 struct SystemStats {
@@ -226,7 +227,8 @@ int main(int argc, char** argv) {
         // fault_stream/swaps provenance matches trivially (same stream id,
         // both swap-free) — the request/decision comparison is the point.
         if (replay.retrain_runs > 0 || !replay.deepbat.swaps.empty() ||
-            !identical(baseline.deepbat, replay.deepbat)) {
+            !bench::same_runs("[chaos] calm retrain", {&baseline.deepbat, 1},
+                              {&replay.deepbat, 1})) {
           calm_retrain_identical = false;
           std::printf("[chaos] CALM RETRAIN DIVERGENCE (learner engaged on "
                       "fault-free weather)\n");
@@ -284,10 +286,12 @@ int main(int argc, char** argv) {
     popts.observer = nullptr;
     const sim::PlatformRun solo_b = sim::run_platform(
         serve, solo_batch, fx.model(), {1024, 1, 0.0}, popts);
-    if (!identical(solo_d, replay.deepbat) ||
-        !identical(solo_b, replay.batch)) {
+    const std::string solo_label = "[chaos] solo " + scenario;
+    if (!bench::same_runs(solo_label + " deepbat", {&solo_d, 1},
+                          {&replay.deepbat, 1}) ||
+        !bench::same_runs(solo_label + " batch", {&solo_b, 1},
+                          {&replay.batch, 1})) {
       solo_identical = false;
-      std::printf("[chaos] SOLO DIVERGENCE in %s\n", scenario.c_str());
     }
 
     Table t({"metric", "batch", "deepbat"});
@@ -338,10 +342,9 @@ int main(int argc, char** argv) {
         bench::run_head_to_head(fx, serve, surrogate, gamma, args.slo_s, sargs);
     if (shards == 1) {
       one_shard = std::move(replay);
-    } else if (!identical(one_shard.deepbat, replay.deepbat) ||
-               !identical(one_shard.batch, replay.batch)) {
+    } else if (!same_replay("[shards] " + std::to_string(shards) + " shards",
+                            one_shard, replay)) {
       shard_identical = false;
-      std::printf("[shards] DIVERGENCE at %zu shards\n", shards);
     }
   }
   std::printf("[shards] bit-identical across {1, 2, 5}: %s\n",
@@ -351,11 +354,8 @@ int main(int argc, char** argv) {
   // --retrain this proves the whole harvest/retrain/swap history is a pure
   // function of the replay inputs, swap ticks included.
   if (sweep_scenario_replay.has_value()) {
-    if (!identical(sweep_scenario_replay->deepbat, one_shard.deepbat) ||
-        !identical(sweep_scenario_replay->batch, one_shard.batch)) {
-      rerun_identical = false;
-      std::printf("[chaos] RERUN DIVERGENCE in %s\n", sweep_scenario.c_str());
-    }
+    rerun_identical = same_replay("[chaos] rerun " + sweep_scenario,
+                                  *sweep_scenario_replay, one_shard);
   }
 
   const bool retrain_ok = retrain_decay_ok && calm_retrain_identical;

@@ -12,10 +12,10 @@
 //      (fresh controllers, fresh learner state) in a process that never saw
 //      the first half of the replay, and runs to completion.
 //
-// Gate (exit 1 on any failure): the recovered PlatformRuns must be
-// bit-identical to the reference — decisions, request records, costs,
-// retries, and surrogate swap ticks — for every scenario in {calm, flaky,
-// chaos} at shard counts {1, 2, 5}. A calm pass plus two transient-fault
+// Gate (exit 1 on any failure): the recovered PlatformRuns must be the
+// same run as the reference under sim::first_divergence (every field,
+// DESIGN.md §10) for every scenario in {calm, flaky, chaos} at shard
+// counts {1, 2, 5}. A calm pass plus two transient-fault
 // scenarios with retraining exercises every serialized subsystem:
 // calendar scheduler, simulator + fault streams, encoder cache,
 // breaker, harvester/drift/retrainer, and the versioned surrogate store.
@@ -313,10 +313,9 @@ int main(int argc, char** argv) {
       rec.runtime->restore_checkpoint(checkpoint_path);
       const std::vector<sim::PlatformRun> recovered = rec.runtime->run();
 
-      bool identical = recovered.size() == reference.size();
-      for (std::size_t i = 0; identical && i < reference.size(); ++i) {
-        identical = bench::run_identical(recovered[i], reference[i]);
-      }
+      const bool identical = bench::same_runs(
+          "[crash] " + scenario + " shards=" + std::to_string(shards),
+          recovered, reference);
       std::printf("[crash] %-6s shards=%zu  killed=yes  recovered=%s\n",
                   scenario.c_str(), shards,
                   identical ? "bit-identical" : "DIVERGED");

@@ -52,32 +52,6 @@ namespace {
 constexpr double kSlos[] = {0.06, 0.10, 0.25, 0.60};
 constexpr double kRates[] = {50.0, 12.0, 8.0, 5.0};
 
-bool runs_bit_identical(const std::vector<sim::PlatformRun>& a,
-                        const std::vector<sim::PlatformRun>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const sim::SimResult& x = a[i].result;
-    const sim::SimResult& y = b[i].result;
-    if (x.requests.size() != y.requests.size() ||
-        x.invocations != y.invocations || x.total_cost != y.total_cost ||
-        x.dropped != y.dropped || a[i].group_id != b[i].group_id ||
-        a[i].backend != b[i].backend ||
-        a[i].decisions.size() != b[i].decisions.size()) {
-      return false;
-    }
-    for (std::size_t k = 0; k < x.requests.size(); ++k) {
-      const sim::RequestRecord& r = x.requests[k];
-      const sim::RequestRecord& s = y.requests[k];
-      if (r.arrival != s.arrival || r.dispatch != s.dispatch ||
-          r.completion != s.completion || r.batch_actual != s.batch_actual ||
-          r.cost_share != s.cost_share) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 struct GroupReplaySetup {
   std::vector<std::unique_ptr<sim::FixedController>> controllers;
   const lambda::CpuLambdaBackend* cpu = nullptr;
@@ -312,9 +286,10 @@ int main(int argc, char** argv) {
     auto runs = replay_groups(plan, sweep, interval_s, s);
     if (s == 1) {
       one_shard = std::move(runs);
-    } else if (!runs_bit_identical(one_shard, runs)) {
+    } else if (!bench::same_runs(
+                   "[gate] groups at " + std::to_string(s) + " shards",
+                   one_shard, runs)) {
       shard_invariant = false;
-      std::printf("[gate] DIVERGENCE with groups at %zu shards\n", s);
     }
   }
 
@@ -324,8 +299,9 @@ int main(int argc, char** argv) {
     GroupReplaySetup again;
     again.cpu = &cpu_backend;
     again.gpu = &gpu_backend;
-    deterministic = runs_bit_identical(
-        grouped_runs, replay_groups(plan, again, interval_s, shards));
+    deterministic = bench::same_runs(
+        "[gate] grouped rerun", grouped_runs,
+        replay_groups(plan, again, interval_s, shards));
   }
 
   // Backend parity: the CpuLambdaBackend wrapper must replay byte-stable
@@ -343,7 +319,8 @@ int main(int argc, char** argv) {
     const auto via_backend =
         sim::run_platform(traces[0], fc_backend, cpu_backend, {2048, 4, 0.05},
                           popts);
-    parity = runs_bit_identical({via_model}, {via_backend});
+    parity = bench::same_runs("[gate] cpu backend parity", {&via_model, 1},
+                              {&via_backend, 1});
   }
 
   Table gates({"gate", "result"});

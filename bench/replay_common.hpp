@@ -51,45 +51,6 @@ struct Replay {
   std::vector<double> deepbat_fallback_times;
 };
 
-/// Full request-level bit-identity of two PlatformRuns (the tests'
-/// expect_bit_identical, as a predicate): decisions, served requests,
-/// drops, retries, cost — plus the retraining provenance (fault stream id
-/// and surrogate swap ticks), so a replay only counts as reproducible when
-/// it swapped at the SAME ticks between the SAME versions. One definition
-/// shared by the chaos and crash-recovery gates.
-inline bool run_identical(const sim::PlatformRun& a,
-                          const sim::PlatformRun& b) {
-  if (a.fault_stream != b.fault_stream) return false;
-  if (a.swaps.size() != b.swaps.size()) return false;
-  for (std::size_t k = 0; k < a.swaps.size(); ++k) {
-    if (!(a.swaps[k] == b.swaps[k])) return false;
-  }
-  if (a.decisions.size() != b.decisions.size()) return false;
-  for (std::size_t k = 0; k < a.decisions.size(); ++k) {
-    const auto& x = a.decisions[k];
-    const auto& y = b.decisions[k];
-    if (x.time != y.time || !(x.config == y.config)) return false;
-  }
-  const sim::SimResult& ra = a.result;
-  const sim::SimResult& rb = b.result;
-  if (ra.requests.size() != rb.requests.size() ||
-      ra.invocations != rb.invocations || ra.total_cost != rb.total_cost ||
-      ra.retries != rb.retries || ra.dropped != rb.dropped ||
-      ra.dropped_arrivals != rb.dropped_arrivals) {
-    return false;
-  }
-  for (std::size_t k = 0; k < ra.requests.size(); ++k) {
-    const auto& x = ra.requests[k];
-    const auto& y = rb.requests[k];
-    if (x.arrival != y.arrival || x.dispatch != y.dispatch ||
-        x.completion != y.completion || x.batch_actual != y.batch_actual ||
-        x.cost_share != y.cost_share) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// Learner configuration for the retrain benches: seeded from
 /// ReplayArgs::retrain_seed (replay identity), sized for short chaos
 /// replays — a flaky fault phase (mttr 90 s at a 30 s control interval)

@@ -6,7 +6,8 @@
 // scheduler's next_group cost — under the old O(tenants) linear scan,
 // per-tick cost grows with the fleet; under the calendar queue it must stay
 // roughly flat. That flatness is this bench's pass/fail gate, together with
-// shard invariance of the replayed decisions.
+// shard invariance: every multi-shard replay must be the same run as the
+// 1-shard one under sim::first_divergence.
 //
 // The controller is a shared FixedController: decisions cost O(1), so
 // wall-clock isolates the runtime's own overheads — scheduler, event
@@ -15,8 +16,8 @@
 // hosts without enough cores cannot show one.
 //
 // Writes BENCH_runtime_scaling.json (this bench owns the file; the
-// decision-level divergence checks against solo replays live in
-// runtime_multitenant and tests/sim/test_runtime.cpp).
+// divergence checks against solo replays live in runtime_multitenant and
+// tests/sim/test_runtime.cpp).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -65,28 +66,6 @@ struct Point {
   double speedup_vs_1shard = 1.0;
 };
 
-bool runs_identical(const std::vector<sim::PlatformRun>& a,
-                    const std::vector<sim::PlatformRun>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].decisions.size() != b[i].decisions.size()) return false;
-    for (std::size_t k = 0; k < a[i].decisions.size(); ++k) {
-      const auto& x = a[i].decisions[k];
-      const auto& y = b[i].decisions[k];
-      if (x.time != y.time || x.config.memory_mb != y.config.memory_mb ||
-          x.config.batch_size != y.config.batch_size ||
-          x.config.timeout_s != y.config.timeout_s) {
-        return false;
-      }
-    }
-    if (a[i].result.total_cost != b[i].result.total_cost ||
-        a[i].result.invocations != b[i].result.invocations) {
-      return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -117,8 +96,8 @@ int main(int argc, char** argv) {
 
   bench::preamble(
       "Runtime scale — Zipf fleets, static shards, calendar ticks",
-      "per-tick scheduler cost must stay flat as the fleet grows; decisions "
-      "must be shard-invariant; shard speedup is informational");
+      "per-tick scheduler cost must stay flat as the fleet grows; runs must "
+      "be shard-invariant; shard speedup is informational");
 
   const unsigned hardware = std::thread::hardware_concurrency();
   std::printf("[host] hardware_concurrency=%u\n", hardware);
@@ -195,11 +174,11 @@ int main(int argc, char** argv) {
         if (shards == shard_counts.front()) {
           one_shard_runs = std::move(runs);
         } else {
-          if (!runs_identical(one_shard_runs, runs)) {
+          std::ostringstream label;
+          label << "[scale] " << tenants << " tenants skew " << skew
+                << " at " << shards << " shards";
+          if (!bench::same_runs(label.str(), one_shard_runs, runs)) {
             shard_invariant = false;
-            std::printf("[scale] DIVERGENCE: %zu tenants skew %.1f at %zu "
-                        "shards\n",
-                        tenants, skew, shards);
           }
           for (const Point& q : points) {
             if (q.tenants == tenants && q.skew == skew && q.shards == 1) {

@@ -24,6 +24,11 @@ cd "$(dirname "$0")/.."
 FAST=0
 [[ "${1:-}" == "--fast" ]] && FAST=1
 
+# Bench outputs go to a private directory, removed on exit, so two
+# concurrent runs of this script never overwrite each other's files.
+OUT="$(mktemp -d)"
+trap 'rm -rf "$OUT"' EXIT
+
 echo "== tier-1: build =="
 cmake -B build -S . >/dev/null
 cmake --build build -j"$(nproc)"
@@ -62,7 +67,7 @@ echo "== runtime scale smoke =="
 # Exits 1 if per-tick scheduler cost grows with the fleet (the
 # pre-calendar O(tenants) scan) or if any 2-shard run diverges from the
 # 1-shard replay.
-./build/bench/runtime_scale --max-tenants 10000 --out /tmp/deepbat_scale.json
+./build/bench/runtime_scale --max-tenants 10000 --out "$OUT/scale.json"
 
 if [[ "$FAST" == "1" ]]; then
   echo "== skipping sanitizer passes (--fast) =="
@@ -132,7 +137,7 @@ echo "== kernel bench gate =="
 # shapes must beat the seed kernels, 2 threads must not lose to 1, and
 # same-run speedup ratios must stay within 10% of the baseline. Full mode
 # (~35 s), not --quick: the short samples are too noisy for a 10% gate.
-./build/bench/nn_kernels --json=/tmp/deepbat_gate_kernels.json \
+./build/bench/nn_kernels --json="$OUT/gate_kernels.json" \
   --gate=bench/BASELINE_kernels.json
 
 echo "== all checks passed =="

@@ -22,6 +22,7 @@
 #include "learn/retrainer.hpp"
 #include "learn/shadow.hpp"
 #include "learn/store.hpp"
+#include "sim/run_identity.hpp"
 #include "sim/runtime.hpp"
 
 namespace deepbat::learn {
@@ -360,25 +361,8 @@ workload::Trace periodic_trace(double duration_s, double gap_s) {
 
 void expect_runs_identical(const sim::PlatformRun& a,
                            const sim::PlatformRun& b) {
-  ASSERT_EQ(a.decisions.size(), b.decisions.size());
-  for (std::size_t k = 0; k < a.decisions.size(); ++k) {
-    EXPECT_EQ(a.decisions[k].time, b.decisions[k].time);
-    EXPECT_EQ(a.decisions[k].config.memory_mb, b.decisions[k].config.memory_mb);
-    EXPECT_EQ(a.decisions[k].config.batch_size,
-              b.decisions[k].config.batch_size);
-    EXPECT_EQ(a.decisions[k].config.timeout_s, b.decisions[k].config.timeout_s);
-  }
-  ASSERT_EQ(a.result.requests.size(), b.result.requests.size());
-  for (std::size_t k = 0; k < a.result.requests.size(); ++k) {
-    EXPECT_EQ(a.result.requests[k].completion, b.result.requests[k].completion);
-    EXPECT_EQ(a.result.requests[k].cost_share, b.result.requests[k].cost_share);
-  }
-  EXPECT_EQ(a.result.invocations, b.result.invocations);
-  EXPECT_EQ(a.result.total_cost, b.result.total_cost);
-  EXPECT_EQ(a.fault_stream, b.fault_stream);
-  ASSERT_EQ(a.swaps.size(), b.swaps.size());
-  for (std::size_t k = 0; k < a.swaps.size(); ++k) {
-    EXPECT_EQ(a.swaps[k], b.swaps[k]);
+  if (auto d = sim::first_divergence({&a, 1}, {&b, 1})) {
+    ADD_FAILURE() << sim::to_string(*d);
   }
 }
 

@@ -21,6 +21,7 @@
 #include "sim/batch_sim.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/faults.hpp"
+#include "sim/run_identity.hpp"
 #include "sim/tick_scheduler.hpp"
 #include "workload/synth.hpp"
 #include "scratch_dir.hpp"
@@ -275,19 +276,7 @@ TEST(CheckpointSimulator, FaultedMidTraceSaveRestoreIsBitIdentical) {
   const SimResult& a = reference.result();
   const SimResult& b = resumed.result();
   EXPECT_GT(a.retries + a.dropped, 0u);  // the chaos faults actually bit
-  ASSERT_EQ(a.requests.size(), b.requests.size());
-  for (std::size_t i = 0; i < a.requests.size(); ++i) {
-    EXPECT_EQ(a.requests[i].arrival, b.requests[i].arrival);
-    EXPECT_EQ(a.requests[i].dispatch, b.requests[i].dispatch);
-    EXPECT_EQ(a.requests[i].completion, b.requests[i].completion);
-    EXPECT_EQ(a.requests[i].batch_actual, b.requests[i].batch_actual);
-    EXPECT_EQ(a.requests[i].cost_share, b.requests[i].cost_share);
-  }
-  EXPECT_EQ(a.invocations, b.invocations);
-  EXPECT_EQ(a.total_cost, b.total_cost);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.dropped, b.dropped);
-  EXPECT_EQ(a.dropped_arrivals, b.dropped_arrivals);
+  if (auto d = first_divergence(a, b)) ADD_FAILURE() << to_string(*d);
 }
 
 // A corrupted simulator payload must be rejected with a typed error, never
@@ -336,10 +325,9 @@ TEST(CheckpointFaults, InjectorStreamsResumeExactly) {
   }
   sa.finalize();
   sb.finalize();
-  EXPECT_EQ(sa.result().retries, sb.result().retries);
-  EXPECT_EQ(sa.result().dropped, sb.result().dropped);
-  EXPECT_EQ(sa.result().total_cost, sb.result().total_cost);
-  EXPECT_EQ(sa.result().invocations, sb.result().invocations);
+  if (auto d = first_divergence(sa.result(), sb.result())) {
+    ADD_FAILURE() << to_string(*d);
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "common/error.hpp"
 #include "sim/batch_sim.hpp"
 #include "sim/faults.hpp"
+#include "sim/run_identity.hpp"
 
 namespace deepbat::sim {
 namespace {
@@ -23,19 +24,7 @@ std::vector<double> ramp(int n, double step) {
 }
 
 void expect_identical(const SimResult& a, const SimResult& b) {
-  ASSERT_EQ(a.requests.size(), b.requests.size());
-  for (std::size_t i = 0; i < a.requests.size(); ++i) {
-    EXPECT_EQ(a.requests[i].arrival, b.requests[i].arrival);
-    EXPECT_EQ(a.requests[i].dispatch, b.requests[i].dispatch);
-    EXPECT_EQ(a.requests[i].completion, b.requests[i].completion);
-    EXPECT_EQ(a.requests[i].batch_actual, b.requests[i].batch_actual);
-    EXPECT_EQ(a.requests[i].cost_share, b.requests[i].cost_share);
-  }
-  EXPECT_EQ(a.invocations, b.invocations);
-  EXPECT_EQ(a.total_cost, b.total_cost);
-  EXPECT_EQ(a.retries, b.retries);
-  EXPECT_EQ(a.dropped, b.dropped);
-  EXPECT_EQ(a.dropped_arrivals, b.dropped_arrivals);
+  if (auto d = first_divergence(a, b)) ADD_FAILURE() << to_string(*d);
 }
 
 TEST(Faults, ZeroFaultPlanIsByteIdentical) {

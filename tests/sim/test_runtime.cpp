@@ -16,6 +16,7 @@
 #include "core/controller.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "sim/run_identity.hpp"
 #include "sim/runtime.hpp"
 #include "workload/synth.hpp"
 
@@ -33,32 +34,6 @@ core::DeepBatControllerOptions controller_options() {
   core::DeepBatControllerOptions opts;
   opts.grid = lambda::ConfigGrid::small();
   return opts;
-}
-
-void expect_bit_identical(const PlatformRun& a, const PlatformRun& b) {
-  ASSERT_EQ(a.decisions.size(), b.decisions.size());
-  for (std::size_t k = 0; k < a.decisions.size(); ++k) {
-    EXPECT_EQ(a.decisions[k].time, b.decisions[k].time);
-    EXPECT_EQ(a.decisions[k].config.memory_mb, b.decisions[k].config.memory_mb);
-    EXPECT_EQ(a.decisions[k].config.batch_size,
-              b.decisions[k].config.batch_size);
-    EXPECT_EQ(a.decisions[k].config.timeout_s, b.decisions[k].config.timeout_s);
-  }
-  ASSERT_EQ(a.result.requests.size(), b.result.requests.size());
-  for (std::size_t k = 0; k < a.result.requests.size(); ++k) {
-    const auto& ra = a.result.requests[k];
-    const auto& rb = b.result.requests[k];
-    EXPECT_EQ(ra.arrival, rb.arrival);
-    EXPECT_EQ(ra.dispatch, rb.dispatch);
-    EXPECT_EQ(ra.completion, rb.completion);
-    EXPECT_EQ(ra.batch_actual, rb.batch_actual);
-    EXPECT_EQ(ra.cost_share, rb.cost_share);
-  }
-  EXPECT_EQ(a.result.invocations, b.result.invocations);
-  EXPECT_EQ(a.result.total_cost, b.result.total_cost);
-  EXPECT_EQ(a.result.retries, b.result.retries);
-  EXPECT_EQ(a.result.dropped, b.result.dropped);
-  EXPECT_EQ(a.result.dropped_arrivals, b.result.dropped_arrivals);
 }
 
 // ------------------------------------------------ shard invariance ------
@@ -138,10 +113,7 @@ TEST_P(RuntimeShardInvariance, BitIdenticalToSoloRuns) {
   const auto merged = runtime.run();
 
   ASSERT_EQ(merged.size(), defs.size());
-  for (std::size_t i = 0; i < defs.size(); ++i) {
-    SCOPED_TRACE("tenant " + std::to_string(i));
-    expect_bit_identical(solo[i], merged[i]);
-  }
+  if (auto d = first_divergence(solo, merged)) ADD_FAILURE() << to_string(*d);
 
   const RuntimeStats& stats = runtime.stats();
   std::size_t total_decisions = 0;
@@ -235,10 +207,7 @@ TEST_P(FaultedShardInvariance, ChaosReplayBitIdenticalToSolo) {
   const auto merged = runtime.run();
 
   ASSERT_EQ(merged.size(), traces.size());
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    SCOPED_TRACE("tenant " + std::to_string(i));
-    expect_bit_identical(solo[i], merged[i]);
-  }
+  if (auto d = first_divergence(solo, merged)) ADD_FAILURE() << to_string(*d);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -300,10 +269,7 @@ TEST(RuntimeTest, ConcurrentShardsStressMatchesSolo) {
     }
     const auto merged = runtime.run();
     ASSERT_EQ(merged.size(), traces.size());
-    for (std::size_t i = 0; i < traces.size(); ++i) {
-      SCOPED_TRACE("tenant " + std::to_string(i));
-      expect_bit_identical(solo[i], merged[i]);
-    }
+    if (auto d = first_divergence(solo, merged)) ADD_FAILURE() << to_string(*d);
   }
 }
 
@@ -353,10 +319,7 @@ TEST(RuntimeTest, SixShardOverlapStressMatchesSolo) {
   }
   const auto merged = runtime.run();
   ASSERT_EQ(merged.size(), traces.size());
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    SCOPED_TRACE("tenant " + std::to_string(i));
-    expect_bit_identical(solo[i], merged[i]);
-  }
+  if (auto d = first_divergence(solo, merged)) ADD_FAILURE() << to_string(*d);
 
   // Every shard saw at least one pending slot, so the queue high-water mark
   // is positive. The schedule never moves work between shards, so steals
@@ -414,9 +377,8 @@ TEST(RuntimeTest, ParallelRunUntilStepsMatchPlainRun) {
     const auto stepped =
         replay({-1.0, 50.0, 95.0, 95.0, 1e9}, &stepped_stats);
     ASSERT_EQ(stepped.size(), plain.size());
-    for (std::size_t i = 0; i < plain.size(); ++i) {
-      SCOPED_TRACE("tenant " + std::to_string(i));
-      expect_bit_identical(plain[i], stepped[i]);
+    if (auto d = first_divergence(plain, stepped)) {
+      ADD_FAILURE() << to_string(*d);
     }
     EXPECT_EQ(stepped_stats.tick_groups, plain_stats.tick_groups);
     EXPECT_EQ(stepped_stats.control_ticks, plain_stats.control_ticks);
@@ -570,10 +532,7 @@ TEST(RuntimeTest, MultiTenantBitIdenticalToIndependentSoloRuns) {
   const auto merged = runtime.run();
 
   ASSERT_EQ(merged.size(), traces.size());
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    SCOPED_TRACE("tenant " + std::to_string(i));
-    expect_bit_identical(solo[i], merged[i]);
-  }
+  if (auto d = first_divergence(solo, merged)) ADD_FAILURE() << to_string(*d);
 
   // The control plane actually batched: every window went through the
   // shared encoder, and coinciding ticks were folded into single forwards.
@@ -599,13 +558,12 @@ TEST(RuntimeTest, MixedControllersShareTheLoop) {
   batchlib::BatchControllerOptions bopts;
   bopts.grid = lambda::ConfigGrid::small();
 
-  PlatformRun solo_deepbat;
-  PlatformRun solo_batch;
+  std::vector<PlatformRun> solo(2);
   {
     core::DeepBatController deepbat(model, controller_options());
-    solo_deepbat = run_platform(trace, deepbat, lm, {1024, 1, 0.0}, popts);
+    solo[0] = run_platform(trace, deepbat, lm, {1024, 1, 0.0}, popts);
     batchlib::BatchController batch(lm, bopts);
-    solo_batch = run_platform(trace, batch, lm, {1024, 1, 0.0}, popts);
+    solo[1] = run_platform(trace, batch, lm, {1024, 1, 0.0}, popts);
   }
 
   core::SurrogateBatchEncoder encoder(model);
@@ -625,15 +583,7 @@ TEST(RuntimeTest, MixedControllersShareTheLoop) {
   runtime.add_tenant(spec);
   const auto merged = runtime.run();
 
-  ASSERT_EQ(merged.size(), 2u);
-  {
-    SCOPED_TRACE("deepbat tenant");
-    expect_bit_identical(solo_deepbat, merged[0]);
-  }
-  {
-    SCOPED_TRACE("batch tenant");
-    expect_bit_identical(solo_batch, merged[1]);
-  }
+  if (auto d = first_divergence(solo, merged)) ADD_FAILURE() << to_string(*d);
 }
 
 TEST(RuntimeTest, EmptyTraceYieldsEmptyRun) {
@@ -726,10 +676,7 @@ void expect_batched_scoring_invariant(core::ScoringPrecision precision,
   const auto merged = runtime.run();
 
   ASSERT_EQ(merged.size(), defs.size());
-  for (std::size_t i = 0; i < defs.size(); ++i) {
-    SCOPED_TRACE("tenant " + std::to_string(i));
-    expect_bit_identical(solo[i], merged[i]);
-  }
+  if (auto d = first_divergence(solo, merged)) ADD_FAILURE() << to_string(*d);
 
   // The fused scorer actually ran: every non-bypassed control tick's grid
   // landed in a batched score call.

@@ -17,6 +17,7 @@
 #include "common/error.hpp"
 #include "core/controller.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/run_identity.hpp"
 #include "sim/runtime.hpp"
 #include "workload/synth.hpp"
 #include "scratch_dir.hpp"
@@ -35,32 +36,6 @@ core::DeepBatControllerOptions controller_options() {
   core::DeepBatControllerOptions opts;
   opts.grid = lambda::ConfigGrid::small();
   return opts;
-}
-
-void expect_bit_identical(const PlatformRun& a, const PlatformRun& b) {
-  ASSERT_EQ(a.decisions.size(), b.decisions.size());
-  for (std::size_t k = 0; k < a.decisions.size(); ++k) {
-    EXPECT_EQ(a.decisions[k].time, b.decisions[k].time);
-    EXPECT_EQ(a.decisions[k].config.memory_mb, b.decisions[k].config.memory_mb);
-    EXPECT_EQ(a.decisions[k].config.batch_size,
-              b.decisions[k].config.batch_size);
-    EXPECT_EQ(a.decisions[k].config.timeout_s, b.decisions[k].config.timeout_s);
-  }
-  ASSERT_EQ(a.result.requests.size(), b.result.requests.size());
-  for (std::size_t k = 0; k < a.result.requests.size(); ++k) {
-    const auto& ra = a.result.requests[k];
-    const auto& rb = b.result.requests[k];
-    EXPECT_EQ(ra.arrival, rb.arrival);
-    EXPECT_EQ(ra.dispatch, rb.dispatch);
-    EXPECT_EQ(ra.completion, rb.completion);
-    EXPECT_EQ(ra.batch_actual, rb.batch_actual);
-    EXPECT_EQ(ra.cost_share, rb.cost_share);
-  }
-  EXPECT_EQ(a.result.invocations, b.result.invocations);
-  EXPECT_EQ(a.result.total_cost, b.result.total_cost);
-  EXPECT_EQ(a.result.retries, b.result.retries);
-  EXPECT_EQ(a.result.dropped, b.result.dropped);
-  EXPECT_EQ(a.result.dropped_arrivals, b.result.dropped_arrivals);
 }
 
 /// One assembled three-tenant chaos replay (mixed intervals so tick groups
@@ -146,10 +121,8 @@ TEST_P(RuntimeCheckpoint, SaveRestoreFinishesBitIdentical) {
   if (c.stepped) restored.run_until(c.save_at + 45.0);
   const std::vector<PlatformRun> resumed = restored.run();
 
-  ASSERT_EQ(resumed.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    SCOPED_TRACE("tenant " + std::to_string(i));
-    expect_bit_identical(reference[i], resumed[i]);
+  if (auto d = first_divergence(reference, resumed)) {
+    ADD_FAILURE() << to_string(*d);
   }
 
   // Stitched stats: the pre-crash half rides the checkpoint and merges with
@@ -228,10 +201,8 @@ TEST(RuntimeCheckpointTest, MixedControllerFamiliesRoundTrip) {
   restored->restore_checkpoint(path);
   const auto resumed = restored->run();
 
-  ASSERT_EQ(resumed.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    SCOPED_TRACE("tenant " + std::to_string(i));
-    expect_bit_identical(reference[i], resumed[i]);
+  if (auto d = first_divergence(reference, resumed)) {
+    ADD_FAILURE() << to_string(*d);
   }
   std::remove(path.c_str());
 }
@@ -252,10 +223,8 @@ TEST(RuntimeCheckpointTest, SaveBeforeFirstTickRestoresFullReplay) {
   Runtime& restored = h.build(2);
   restored.restore_checkpoint(path);
   const auto resumed = restored.run();
-  ASSERT_EQ(resumed.size(), reference.size());
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    SCOPED_TRACE("tenant " + std::to_string(i));
-    expect_bit_identical(reference[i], resumed[i]);
+  if (auto d = first_divergence(reference, resumed)) {
+    ADD_FAILURE() << to_string(*d);
   }
   std::remove(path.c_str());
 }
