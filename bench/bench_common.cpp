@@ -245,7 +245,7 @@ ReplayArgs parse_replay_args(int argc, const char* const* argv,
         flags.get("precision", core::to_string(defaults.scoring_precision));
     const auto parsed = core::parse_scoring_precision(precision);
     DEEPBAT_CHECK(parsed.has_value(),
-                  "replay args: --precision must be fp32, fp16, or int8");
+                  "replay args: --precision must be fp32 or fp16");
     defaults.scoring_precision = *parsed;
     defaults.retrain = flags.get_bool("retrain", defaults.retrain);
     defaults.retrain_seed = static_cast<std::uint64_t>(flags.get_int(
@@ -266,7 +266,7 @@ ReplayArgs parse_replay_args(int argc, const char* const* argv,
                  "%s\nusage: %s [--slo S] [--hours H] [--interval S] "
                  "[--cold-seed N] [--shards N] "
                  "[--faults calm|coldburst|flaky|throttled|chaos] "
-                 "[--fault-seed N] [--precision fp32|fp16|int8] "
+                 "[--fault-seed N] [--precision fp32|fp16] "
                  "[--retrain] [--retrain-seed N] "
                  "[--json PATH] [--metrics PATH]\n",
                  e.what(), argc > 0 ? argv[0] : "bench");

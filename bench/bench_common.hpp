@@ -103,7 +103,7 @@ void preamble(const std::string& figure, const std::string& description);
 ///                        (calm|coldburst|flaky|throttled|chaos; default
 ///                        none — the byte-stable fair-weather replay)
 ///   --fault-seed <n>     FaultPlan seed for --faults (default 7)
-///   --precision <p>      grid-scoring arithmetic (fp32|fp16|int8, default
+///   --precision <p>      grid-scoring arithmetic (fp32|fp16, default
 ///                        fp32 — the bit-exact replay; see DESIGN.md §12)
 ///   --retrain            enable the online harvest/retrain/shadow/hot-swap
 ///                        loop on the DeepBAT tenant (DESIGN.md §14)

@@ -121,14 +121,14 @@ int main(int argc, char** argv) {
     shards = static_cast<std::size_t>(shards_arg);
     precision = core::parse_scoring_precision(flags.get("precision", "fp32"));
     DEEPBAT_CHECK(precision.has_value(),
-                  "fleet: --precision must be fp32, fp16, or int8");
+                  "fleet: --precision must be fp32 or fp16");
     json_path = flags.get("json", "");
     metrics_path = flags.get("metrics", "");
   } catch (const Error& e) {
     std::fprintf(stderr,
                  "%s\nusage: %s [--fleet N] [--groups K] "
                  "[--backend auto|cpu|gpu] [--hours H] [--interval S] "
-                 "[--shards N] [--precision fp32|fp16|int8] [--json PATH] "
+                 "[--shards N] [--precision fp32|fp16] [--json PATH] "
                  "[--metrics PATH]\n",
                  e.what(), argc > 0 ? argv[0] : "fleet");
     return 2;

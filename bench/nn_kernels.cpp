@@ -295,10 +295,9 @@ void bench_grid_scoring(const std::vector<int>& thread_counts,
             1e9 * static_cast<double>(grid_n) / ns});
   }
 
-  // fused: GridScoringCache at fp32/fp16/int8, r1 and r8.
+  // fused: GridScoringCache at fp32/fp16, r1 and r8.
   for (const core::ScoringPrecision precision :
-       {core::ScoringPrecision::kFp32, core::ScoringPrecision::kFp16,
-        core::ScoringPrecision::kInt8}) {
+       {core::ScoringPrecision::kFp32, core::ScoringPrecision::kFp16}) {
     const auto cache = model.make_scoring_cache(configs, precision);
     for (const std::size_t rows : {std::size_t{1}, std::size_t{8}}) {
       std::vector<float> e1_rows;
@@ -354,7 +353,7 @@ void write_json(const std::string& path, double speedup, double seed_1t,
   }
   {
     const double legacy_ns = find_ns("grid_scoring", "legacy_r1", "seed", 1);
-    for (const char* prec : {"fp32", "fp16", "int8"}) {
+    for (const char* prec : {"fp32", "fp16"}) {
       const double fused_ns =
           find_ns("grid_scoring", fused_r1_name(prec), "optimized", 1);
       out << "    \"grid_scoring_fused_" << prec << "_speedup_1t\": "
@@ -401,7 +400,7 @@ int run_gate(const std::string& baseline_path) {
            " ns) lose to 1 thread (" + std::to_string(opt1) + " ns)");
     }
   }
-  for (const char* prec : {"fp32", "fp16", "int8"}) {
+  for (const char* prec : {"fp32", "fp16"}) {
     const std::string name = fused_r1_name(prec);
     const double f1 = find_ns("grid_scoring", name, "optimized", 1);
     const double f2 = find_ns("grid_scoring", name, "optimized", 2);
@@ -436,7 +435,7 @@ int run_gate(const std::string& baseline_path) {
   }
   {
     const double legacy_ns = find_ns("grid_scoring", "legacy_r1", "seed", 1);
-    for (const char* prec : {"fp32", "fp16", "int8"}) {
+    for (const char* prec : {"fp32", "fp16"}) {
       const double fused_ns =
           find_ns("grid_scoring", fused_r1_name(prec), "optimized", 1);
       std::string key = "grid_scoring_fused_";

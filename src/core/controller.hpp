@@ -27,7 +27,7 @@ struct DeepBatControllerOptions {
   /// Surrogate guardrails + circuit breaker (DecisionEngine, DESIGN.md §11).
   SurrogateGuardOptions guard;
   /// Grid-scoring arithmetic (DESIGN.md §12): fp32 (exact, default), or
-  /// fp16/int8 for the faster quantized per-config GEMM.
+  /// fp16 for the faster per-config GEMM on binary16-stored weights.
   ScoringPrecision scoring_precision = ScoringPrecision::kFp32;
 };
 
@@ -55,11 +55,6 @@ class DeepBatController : public sim::SplitController,
       std::span<const float> encoding,
       std::span<const float> raw_predictions) override;
 
-  /// Calibrate the int8 scoring path's static activation scale from sample
-  /// windows (see DecisionEngine::calibrate_scoring).
-  void calibrate_scoring(std::span<const float> windows, std::size_t count) {
-    engine_.calibrate_scoring(windows, count);
-  }
   ScoringPrecision scoring_precision() const {
     return engine_.scoring_precision();
   }

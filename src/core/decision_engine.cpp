@@ -207,7 +207,7 @@ GridScorer::GridScorer(const Surrogate& surrogate,
                        ScoringPrecision precision)
     : surrogate_(&surrogate), configs_(std::move(configs)) {
   DEEPBAT_CHECK(!configs_.empty(), "GridScorer: empty config grid");
-  // Feature branch + head-weight slices (+ quantized images) are computed
+  // Feature branch + head-weight slices (+ the fp16 image) are computed
   // once here; score() only runs the per-tick fused pass.
   cache_ = surrogate_->make_scoring_cache(configs_, precision);
 }
@@ -228,10 +228,6 @@ std::span<const PredictionTarget> GridScorer::unpack(
     scored_[i] = unpack_target(raw.subspan(i * kTargetDim, kTargetDim));
   }
   return scored_;
-}
-
-void GridScorer::calibrate(std::span<const float> windows, std::size_t count) {
-  surrogate_->calibrate_scoring_cache(cache_, windows, count);
 }
 
 void GridScorer::rebind(const Surrogate& surrogate) {
@@ -578,11 +574,6 @@ void SurrogateBatchScorer::score(std::span<const float> e1_rows,
                                  std::size_t count, std::span<float> out) {
   surrogate_.predict_grid_from_e1_batch(e1_rows, count, cache_, out);
   count_call(count);
-}
-
-void SurrogateBatchScorer::calibrate(std::span<const float> windows,
-                                     std::size_t count) {
-  surrogate_.calibrate_scoring_cache(cache_, windows, count);
 }
 
 }  // namespace deepbat::core

@@ -125,10 +125,9 @@ class SequenceEncoder {
 
 /// Stage 3 — per-config scoring off one E_1 row (the millisecond path the
 /// paper's §IV-F speedup rests on). Holds a GridScoringCache so the feature
-/// branch, head-weight slices, and (for reduced precisions) the quantized
-/// weight images are computed once at construction instead of per tick, and
-/// a PredictionTarget scratch buffer so steady-state scoring allocates
-/// nothing (DESIGN.md §12).
+/// branch, head-weight slices, and (for fp16) the binary16 weight image are
+/// computed once at construction instead of per tick, and a PredictionTarget
+/// scratch buffer so steady-state scoring allocates nothing (DESIGN.md §12).
 class GridScorer {
  public:
   GridScorer(const Surrogate& surrogate, std::vector<lambda::Config> configs,
@@ -143,14 +142,10 @@ class GridScorer {
   /// one tenant's slice of a runtime batch) into the scratch buffer.
   std::span<const PredictionTarget> unpack(std::span<const float> raw) const;
 
-  /// Calibrate the cache's static int8 activation scale (see
-  /// Surrogate::calibrate_scoring_cache). No-op observable effect at fp32.
-  void calibrate(std::span<const float> windows, std::size_t count);
-
   /// Point the scorer at a new surrogate version (learn/ hot-swap): the
-  /// precomputed feature branch / head slices / quantized images all came
-  /// from the old weights, so the scoring cache is rebuilt from scratch at
-  /// the same precision. Any int8 calibration is recomputed implicitly.
+  /// precomputed feature branch / head slices / fp16 image all came from
+  /// the old weights, so the scoring cache is rebuilt from scratch at the
+  /// same precision.
   void rebind(const Surrogate& surrogate);
 
   const std::vector<lambda::Config>& configs() const { return configs_; }
@@ -210,8 +205,8 @@ struct DecisionEngineOptions {
   /// Surrogate output guardrails + circuit breaker (DESIGN.md §11).
   SurrogateGuardOptions guard;
   /// Arithmetic of the grid-scoring stage (DESIGN.md §12). kFp32 is
-  /// bit-identical to the composed surrogate head; kFp16/kInt8 trade a
-  /// bounded prediction error for a faster per-config GEMM.
+  /// bit-identical to the composed surrogate head; kFp16 trades a bounded
+  /// prediction error for a faster per-config GEMM.
   ScoringPrecision scoring_precision = ScoringPrecision::kFp32;
 };
 
@@ -265,12 +260,6 @@ class DecisionEngine {
   EngineDecision finish_scored(std::span<const float> encoding,
                                std::span<const float> raw_predictions);
 
-  /// Calibrate the scorer's static int8 activation scale from sample
-  /// windows (`count` concatenated length-l windows). Optional: without it
-  /// the int8 path quantizes activations dynamically per row.
-  void calibrate_scoring(std::span<const float> windows, std::size_t count) {
-    scorer_.calibrate(windows, count);
-  }
   ScoringPrecision scoring_precision() const { return scorer_.precision(); }
 
   /// True iff `predictions` pass the guard's sanity bounds (all entries
@@ -409,15 +398,14 @@ class SurrogateBatchEncoder final : public sim::BatchEncoder {
 /// tenants' E_1 rows against the whole config grid in one
 /// predict_grid_from_e1_batch call (DESIGN.md §12). Row r of the output is
 /// bit-identical to scoring row r alone at every precision (fp32 exactly
-/// reproduces the composed head; the quantized paths quantize activations
-/// row-locally), which is what keeps multi-tenant batched-scoring runs
+/// reproduces the composed head; fp16 runs the same row-local GEMM on
+/// rounded weights), which is what keeps multi-tenant batched-scoring runs
 /// replay-invariant.
 ///
-/// Shard safety: score() reads the model and the scoring cache const (the
-/// per-call scratch lives in thread-local arenas), so one instance — or
-/// several over one surrogate — may serve concurrent runtime shards.
-/// calibrate() mutates the cache and must happen-before any concurrent
-/// score().
+/// Shard safety: score() reads the model and the immutable scoring cache
+/// const (the per-call scratch lives in thread-local arenas), so one
+/// instance — or several over one surrogate — may serve concurrent runtime
+/// shards.
 class SurrogateBatchScorer final : public sim::BatchScorer {
  public:
   SurrogateBatchScorer(const Surrogate& surrogate,
@@ -429,10 +417,6 @@ class SurrogateBatchScorer final : public sim::BatchScorer {
   std::size_t target_dim() const override;
   void score(std::span<const float> e1_rows, std::size_t count,
              std::span<float> out) override;
-
-  /// Calibrate the static int8 activation scale (optional; see
-  /// Surrogate::calibrate_scoring_cache).
-  void calibrate(std::span<const float> windows, std::size_t count);
 
   ScoringPrecision precision() const { return cache_.precision(); }
 

@@ -173,8 +173,6 @@ const char* to_string(ScoringPrecision precision) {
   switch (precision) {
     case ScoringPrecision::kFp16:
       return "fp16";
-    case ScoringPrecision::kInt8:
-      return "int8";
     case ScoringPrecision::kFp32:
       break;
   }
@@ -184,7 +182,6 @@ const char* to_string(ScoringPrecision precision) {
 std::optional<ScoringPrecision> parse_scoring_precision(std::string_view name) {
   if (name == "fp32") return ScoringPrecision::kFp32;
   if (name == "fp16") return ScoringPrecision::kFp16;
-  if (name == "int8") return ScoringPrecision::kInt8;
   return std::nullopt;
 }
 
@@ -199,7 +196,6 @@ GridScoringCache Surrogate::make_scoring_cache(
   const std::int64_t d = config_.model_dim;
   const std::int64_t fe = config_.feature_embed_dim;
   const std::int64_t h = config_.ffn_hidden;
-  const std::int64_t o = config_.output_dim;
   nn::NoGradGuard no_grad;
 
   // Plain copies (features, weight slices) go straight to stable storage:
@@ -239,8 +235,7 @@ GridScoringCache Surrogate::make_scoring_cache(
   }
 
   // The feature half of head fc1 (+ its bias), constant per grid: the
-  // reduced-precision paths and calibration start from this instead of
-  // re-multiplying E_2 every tick.
+  // fp16 path starts from this instead of re-multiplying E_2 every tick.
   {
     nn::arena::Pause heap;
     cache.h_feat_ = nn::Tensor({n, h});
@@ -253,53 +248,10 @@ GridScoringCache Surrogate::make_scoring_cache(
     }
   }
 
-  switch (precision) {
-    case ScoringPrecision::kFp16:
-      cache.w2_h_ = nn::HalfMatrix::from_tensor(cache.w2_);
-      break;
-    case ScoringPrecision::kInt8:
-      cache.w2_q_ = nn::QuantizedMatrix::from_tensor(cache.w2_);
-      break;
-    case ScoringPrecision::kFp32:
-      break;
+  if (precision == ScoringPrecision::kFp16) {
+    cache.w2_h_ = nn::HalfMatrix::from_tensor(cache.w2_);
   }
-  (void)o;
   return cache;
-}
-
-void Surrogate::calibrate_scoring_cache(GridScoringCache& cache,
-                                        std::span<const float> windows,
-                                        std::size_t count) const {
-  DEEPBAT_CHECK(cache.n_ > 0, "calibrate_scoring_cache: empty cache");
-  DEEPBAT_CHECK(count > 0, "calibrate_scoring_cache: no sample windows");
-  DEEPBAT_CHECK(static_cast<std::int64_t>(windows.size()) ==
-                    static_cast<std::int64_t>(count) * config_.sequence_length,
-                "calibrate_scoring_cache: window buffer size mismatch");
-  const std::int64_t d = config_.model_dim;
-  const std::int64_t h = config_.ffn_hidden;
-  const auto rows = static_cast<std::int64_t>(count);
-  nn::NoGradGuard no_grad;
-  nn::arena::Scope scope;
-  nn::Tensor seq({rows, config_.sequence_length, 1});
-  std::copy(windows.begin(), windows.end(), seq.data());
-  const nn::Tensor e1 = encode_sequence(seq);
-  nn::Tensor u({rows, h});
-  nn::kernels::gemm(e1.data(), cache.w1_top_.data(), u.data(), rows, d, h,
-                    false, false, false);
-  // Post-ReLU hidden activations are non-negative, so the absmax is just
-  // the largest positive pre-activation over every (window, config) pair.
-  float absmax = 0.0F;
-  const float* hf = cache.h_feat_.data();
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const float* urow = u.data() + r * h;
-    for (std::int64_t i = 0; i < cache.n_; ++i) {
-      const float* frow = hf + i * h;
-      for (std::int64_t j = 0; j < h; ++j) {
-        absmax = std::max(absmax, frow[j] + urow[j]);
-      }
-    }
-  }
-  cache.hidden_scale_ = absmax / 127.0F;
 }
 
 void Surrogate::predict_grid_from_e1_batch(std::span<const float> e1_rows,
@@ -365,11 +317,11 @@ void Surrogate::predict_grid_from_e1_batch(std::span<const float> e1_rows,
     return;
   }
 
-  // Reduced precision: the feature half (E_2 @ W1_bot + b1) is constant
-  // across ticks and cached, so the hidden layer is one broadcast add +
-  // ReLU; only the per-config output GEMM runs quantized. The live half of
-  // head fc1 — U = E_1 @ W1_top, [R, h] — stays fp32 at every precision:
-  // it is O(tenants), not O(tenants * grid).
+  // fp16: the feature half (E_2 @ W1_bot + b1) is constant across ticks and
+  // cached, so the hidden layer is one broadcast add + ReLU; only the
+  // per-config output GEMM runs on fp16 weights. The live half of head fc1
+  // — U = E_1 @ W1_top, [R, h] — stays fp32: it is O(tenants), not
+  // O(tenants * grid).
   nn::Tensor u({R, h});
   nn::kernels::gemm(e1_rows.data(), cache.w1_top_.data(), u.data(), R, d, h,
                     false, false, false);
@@ -385,16 +337,8 @@ void Surrogate::predict_grid_from_e1_batch(std::span<const float> e1_rows,
       }
     }
   }
-  const std::span<const float> hidden_span{hp,
-                                           static_cast<std::size_t>(rows * h)};
-  const std::span<const float> b2_span{cache.b2_.data(),
-                                       static_cast<std::size_t>(o)};
-  if (cache.precision_ == ScoringPrecision::kFp16) {
-    nn::half_linear(hidden_span, rows, cache.w2_h_, b2_span, out);
-  } else {
-    nn::quantized_linear(hidden_span, rows, cache.w2_q_, b2_span, out,
-                         cache.hidden_scale_);
-  }
+  nn::half_linear({hp, static_cast<std::size_t>(rows * h)}, rows, cache.w2_h_,
+                  {cache.b2_.data(), static_cast<std::size_t>(o)}, out);
 }
 
 void Surrogate::predict_grid_from_e1_batch(

@@ -68,30 +68,26 @@ struct FeatureStandardizer {
 ///   kFp32 — exact: bit-identical to the composed autograd head, any batch.
 ///   kFp16 — the per-config GEMM runs on binary16-stored weights (fp32
 ///           math on the rounded values).
-///   kInt8 — the per-config GEMM runs int8 x int8 -> int32 with symmetric
-///           per-output-channel weight scales and per-row (dynamic or
-///           calibrated) activation scales.
-/// Both reduced precisions keep the live E_1 projection in fp32 — only the
-/// [tenants * grid, hidden] -> outputs stage, the part that scales with the
-/// grid, is quantized — so the error is bounded by one activation + one
-/// weight rounding. All three are row-local and therefore shard-invariant.
-enum class ScoringPrecision { kFp32, kFp16, kInt8 };
+/// fp16 keeps the live E_1 projection in fp32 — only the [tenants * grid,
+/// hidden] -> outputs stage, the part that scales with the grid, reads
+/// rounded weights — so the error is bounded by one weight rounding. Both
+/// are row-local and therefore shard-invariant.
+enum class ScoringPrecision { kFp32, kFp16 };
 
 const char* to_string(ScoringPrecision precision);
-/// Parse "fp32" / "fp16" / "int8" (CLI --precision values).
+/// Parse "fp32" / "fp16" (CLI --precision values).
 std::optional<ScoringPrecision> parse_scoring_precision(std::string_view name);
 
 /// Immutable per-grid scoring state: the raw feature tensor, the feature
 /// branch's output E_2, the head weights sliced for the fused pass, and —
-/// for reduced precisions — the quantized weight images plus the cached
-/// feature half of the first head layer. Built once per (grid, precision)
-/// by Surrogate::make_scoring_cache; configs are immutable after
-/// construction, so none of this is recomputed per tick.
+/// for fp16 — the binary16 weight image plus the cached feature half of the
+/// first head layer. Built once per (grid, precision) by
+/// Surrogate::make_scoring_cache and never mutated afterwards, so none of
+/// this is recomputed per tick.
 ///
-/// Thread safety: scoring reads the cache const (per-call scratch lives in
-/// the thread-local arena), so one cache may serve several runtime shards
-/// concurrently. calibrate_scoring_cache mutates it and must happen-before
-/// any concurrent scoring.
+/// Thread safety: the cache is immutable and scoring reads it const
+/// (per-call scratch lives in the thread-local arena), so one cache may
+/// serve several runtime shards concurrently.
 class GridScoringCache {
  public:
   GridScoringCache() = default;
@@ -100,10 +96,6 @@ class GridScoringCache {
   ScoringPrecision precision() const { return precision_; }
   /// Raw [n, feature_dim] features, encoded once at construction.
   const nn::Tensor& features() const { return features_; }
-  /// True once a static activation scale has been calibrated (int8 path;
-  /// uncalibrated caches quantize activations dynamically per row).
-  bool calibrated() const { return hidden_scale_ > 0.0F; }
-  float hidden_scale() const { return hidden_scale_; }
 
  private:
   friend class Surrogate;
@@ -119,15 +111,13 @@ class GridScoringCache {
   nn::Tensor b1_;            // [hidden]
   nn::Tensor w2_;            // [hidden, output_dim]
   nn::Tensor b2_;            // [output_dim]
-  /// E_2 @ w1_bot + b1, cached for the reduced-precision paths: the feature
-  /// half of the first head layer is constant across tenants AND ticks, so
-  /// they only recompute the E_1 half per tick. (The exact fp32 path
-  /// re-accumulates it instead, to preserve the composed path's summation
-  /// order bit-for-bit.)
+  /// E_2 @ w1_bot + b1, cached for the fp16 path: the feature half of the
+  /// first head layer is constant across tenants AND ticks, so it only
+  /// recomputes the E_1 half per tick. (The exact fp32 path re-accumulates
+  /// it instead, to preserve the composed path's summation order
+  /// bit-for-bit.)
   nn::Tensor h_feat_;        // [n, hidden]
-  nn::QuantizedMatrix w2_q_;  // int8 image of w2_
-  nn::HalfMatrix w2_h_;       // fp16 image of w2_
-  float hidden_scale_ = 0.0F;  // calibrated static activation scale
+  nn::HalfMatrix w2_h_;      // fp16 image of w2_
 };
 
 class Surrogate : public nn::Module {
@@ -161,18 +151,9 @@ class Surrogate : public nn::Module {
 
   /// Build the immutable scoring state for `configs` at `precision`:
   /// encodes the features once, runs the feature branch once, slices the
-  /// head weights, and quantizes them as the precision requires.
+  /// head weights, and rounds them as the precision requires.
   GridScoringCache make_scoring_cache(std::span<const lambda::Config> configs,
                                       ScoringPrecision precision) const;
-
-  /// Calibrate the cache's static activation scale from a sample of
-  /// windows (`count` concatenated length-l windows): encodes them, runs
-  /// the fused pass in fp32, and records the absmax of the hidden
-  /// activations. Until called, the int8 path quantizes dynamically per
-  /// row (also deterministic and shard-invariant, one absmax pass slower).
-  void calibrate_scoring_cache(GridScoringCache& cache,
-                               std::span<const float> windows,
-                               std::size_t count) const;
 
   /// The fused multi-tenant scoring pass: score `row_count` E_1 rows
   /// (concatenated, [row_count, model_dim]) against the cache's whole grid
@@ -180,7 +161,7 @@ class Surrogate : public nn::Module {
   /// tenant-major (tenant r's grid occupies rows [r*n, (r+1)*n)). Row r of
   /// the result is bit-identical to scoring row r alone, at every
   /// precision — fp32 exactly reproduces the composed autograd head, and
-  /// the quantized paths quantize activations row-locally.
+  /// fp16 runs the same row-local GEMM on rounded weights.
   void predict_grid_from_e1_batch(std::span<const float> e1_rows,
                                   std::size_t row_count,
                                   const GridScoringCache& cache,

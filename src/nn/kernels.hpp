@@ -57,27 +57,6 @@ void fused_sdpa(const float* q, const float* k, const float* v, float* out,
                 std::int64_t heads, std::int64_t dim, float scale,
                 const float* mask = nullptr);
 
-/// C[m,n] (+)= row_scale[i] * col_scale[j] * sum_l A[i,l] * B[l,j] with
-/// int8 operands and exact int32 accumulation (k must stay < 2^24 so the
-/// accumulator cannot overflow: 127 * 127 * 2^24 < 2^31). A is [m,k]
-/// row-major int8 (per-row scales, symmetric), B is [k,n] row-major int8
-/// (per-column scales, symmetric). `bias`, when non-null, is added in the
-/// dequantizing epilogue: C[i,j] = s_a[i]*s_b[j]*acc + bias[j]. Integer
-/// accumulation is order-independent, so the determinism contract is free.
-void gemm_s8(const std::int8_t* A, const std::int8_t* B, float* C,
-             std::int64_t m, std::int64_t k, std::int64_t n,
-             const float* row_scale, const float* col_scale, const float* bias,
-             bool accumulate);
-
-/// Symmetric per-row int8 quantization of a row-major [rows, cols] float
-/// matrix: scales[i] = absmax(row i) / 127 (or `static_scale` for every row
-/// when static_scale > 0, e.g. from calibration), q = clamp(rint(x/scale)).
-/// A zero row (or zero static scale) quantizes to all-zero with scale 0.
-/// Row-local by construction, so a row's quantization never depends on what
-/// else is in the batch — this is what keeps batched scoring shard-invariant.
-void quantize_rows_s8(const float* x, std::int64_t rows, std::int64_t cols,
-                      std::int8_t* q, float* scales, float static_scale = 0.0F);
-
 /// C[m,n] (+)= A[m,k] * dequant(B), with B stored as IEEE-754 binary16 in
 /// [k,n] row-major order. The weight panel is expanded to fp32 in a
 /// thread-local scratch buffer and the math runs through the fp32 blocked

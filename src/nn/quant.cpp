@@ -1,66 +1,9 @@
 #include "nn/quant.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/error.hpp"
 #include "nn/kernels.hpp"
 
 namespace deepbat::nn {
-
-namespace {
-
-// Activation-quantization scratch, per thread: quantized_linear may be
-// called concurrently from several runtime shards over one shared weight
-// image.
-thread_local std::vector<std::int8_t> tl_q_rows;
-thread_local std::vector<float> tl_q_scales;
-
-}  // namespace
-
-QuantizedMatrix QuantizedMatrix::from_tensor(const Tensor& w) {
-  DEEPBAT_CHECK(w.ndim() == 2, "QuantizedMatrix: weight must be 2-D");
-  QuantizedMatrix q;
-  q.rows = w.dim(0);
-  q.cols = w.dim(1);
-  q.data.resize(static_cast<std::size_t>(q.rows * q.cols));
-  q.scales.assign(static_cast<std::size_t>(q.cols), 0.0F);
-  const float* src = w.data();
-  for (std::int64_t c = 0; c < q.cols; ++c) {
-    float absmax = 0.0F;
-    for (std::int64_t r = 0; r < q.rows; ++r) {
-      absmax = std::max(absmax, std::fabs(src[r * q.cols + c]));
-    }
-    q.scales[static_cast<std::size_t>(c)] = absmax / 127.0F;
-  }
-  for (std::int64_t r = 0; r < q.rows; ++r) {
-    for (std::int64_t c = 0; c < q.cols; ++c) {
-      const float scale = q.scales[static_cast<std::size_t>(c)];
-      std::int32_t code = 0;
-      if (scale > 0.0F) {
-        code = static_cast<std::int32_t>(
-            std::lrintf(src[r * q.cols + c] / scale));
-        code = std::clamp(code, -127, 127);
-      }
-      q.data[static_cast<std::size_t>(r * q.cols + c)] =
-          static_cast<std::int8_t>(code);
-    }
-  }
-  return q;
-}
-
-Tensor QuantizedMatrix::dequantize() const {
-  Tensor out({rows, cols});
-  float* dst = out.data();
-  for (std::int64_t r = 0; r < rows; ++r) {
-    for (std::int64_t c = 0; c < cols; ++c) {
-      const auto i = static_cast<std::size_t>(r * cols + c);
-      dst[i] = static_cast<float>(data[i]) *
-               scales[static_cast<std::size_t>(c)];
-    }
-  }
-  return out;
-}
 
 HalfMatrix HalfMatrix::from_tensor(const Tensor& w) {
   DEEPBAT_CHECK(w.ndim() == 2, "HalfMatrix: weight must be 2-D");
@@ -84,29 +27,6 @@ Tensor HalfMatrix::dequantize() const {
     dst[i] = kernels::fp16_to_fp32(data[i]);
   }
   return out;
-}
-
-void quantized_linear(std::span<const float> x, std::int64_t x_rows,
-                      const QuantizedMatrix& w, std::span<const float> bias,
-                      std::span<float> out, float static_scale) {
-  const std::int64_t k = w.rows;
-  const std::int64_t n = w.cols;
-  DEEPBAT_CHECK(static_cast<std::int64_t>(x.size()) == x_rows * k,
-                "quantized_linear: input size mismatch");
-  DEEPBAT_CHECK(static_cast<std::int64_t>(out.size()) == x_rows * n,
-                "quantized_linear: output size mismatch");
-  DEEPBAT_CHECK(bias.empty() || static_cast<std::int64_t>(bias.size()) == n,
-                "quantized_linear: bias size mismatch");
-  if (tl_q_rows.size() < x.size()) tl_q_rows.resize(x.size());
-  if (tl_q_scales.size() < static_cast<std::size_t>(x_rows)) {
-    tl_q_scales.resize(static_cast<std::size_t>(x_rows));
-  }
-  kernels::quantize_rows_s8(x.data(), x_rows, k, tl_q_rows.data(),
-                            tl_q_scales.data(), static_scale);
-  kernels::gemm_s8(tl_q_rows.data(), w.data.data(), out.data(), x_rows, k, n,
-                   tl_q_scales.data(), w.scales.data(),
-                   bias.empty() ? nullptr : bias.data(),
-                   /*accumulate=*/false);
 }
 
 void half_linear(std::span<const float> x, std::int64_t x_rows,

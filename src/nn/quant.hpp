@@ -1,23 +1,15 @@
 #pragma once
-// Quantized weight storage for inference (DESIGN.md §12): symmetric
-// per-output-channel int8 and IEEE binary16 ("fp16 storage") forms of a
-// row-major [in, out] weight matrix, plus the linear-layer entry points
-// that pair them with the quantized GEMM kernels in kernels.cpp.
+// Reduced-precision weight storage for inference (DESIGN.md §12): the IEEE
+// binary16 ("fp16 storage") form of a row-major [in, out] weight matrix,
+// plus the linear-layer entry point that pairs it with gemm_f16w in
+// kernels.cpp.
 //
-// Scheme (int8): weights are quantized per OUTPUT channel — one scale per
-// column j, scale_j = absmax(column j) / 127 — so a channel with small
-// weights is not crushed by a large one elsewhere. Activations are
-// quantized per ROW at call time (dynamic absmax, or a static calibrated
-// scale); the product dequantizes exactly in the epilogue:
-//   out[i, j] = s_row[i] * s_col[j] * sum_l q_x[i,l] * q_w[l,j]  (+ bias_j)
-// Row-local activation quantization means a row's result never depends on
-// what else is in the batch — the same per-row determinism contract the
-// float kernels follow, which is what keeps batched quantized scoring
-// bit-identical to solo scoring (shard invariance).
-//
-// Scheme (fp16): weights are stored as binary16 and expanded to fp32 inside
-// the GEMM; arithmetic stays fp32, so the only error is the one-time
-// round-to-nearest-even of each weight (~2^-11 relative).
+// Weights are stored as binary16 and expanded to fp32 inside the GEMM;
+// arithmetic stays fp32, so the only error is the one-time
+// round-to-nearest-even of each weight (~2^-11 relative). The fp32 GEMM is
+// row-local, so a row's result never depends on what else is in the batch
+// — which is what keeps batched fp16 scoring bit-identical to solo scoring
+// (shard invariance).
 
 #include <cstdint>
 #include <span>
@@ -26,21 +18,6 @@
 #include "nn/tensor.hpp"
 
 namespace deepbat::nn {
-
-/// Symmetric per-column int8 image of a [rows, cols] float matrix.
-struct QuantizedMatrix {
-  std::int64_t rows = 0;
-  std::int64_t cols = 0;
-  std::vector<std::int8_t> data;  // [rows, cols] row-major
-  std::vector<float> scales;      // one per column (output channel)
-
-  /// Quantize a row-major [rows, cols] weight tensor. A zero column gets
-  /// scale 0 and all-zero codes (dequantizes back to exact zeros).
-  static QuantizedMatrix from_tensor(const Tensor& w);
-
-  /// The fp32 matrix this quantization represents (codes * scales).
-  Tensor dequantize() const;
-};
 
 /// Binary16 image of a [rows, cols] float matrix (storage-only fp16).
 struct HalfMatrix {
@@ -52,34 +29,6 @@ struct HalfMatrix {
 
   Tensor dequantize() const;
 };
-
-/// Running absmax observer for activation calibration: feed it sample
-/// activations, then use scale() (= absmax / 127) as the static row scale
-/// for quantize_rows_s8. A calibrated static scale replaces the per-row
-/// absmax pass AND makes the quantization grid independent of the input,
-/// at the price of clamping rows that exceed the calibration range.
-class AbsMaxObserver {
- public:
-  void observe(std::span<const float> values) {
-    for (const float v : values) {
-      const float a = v < 0.0F ? -v : v;
-      if (a > absmax_) absmax_ = a;
-    }
-  }
-  float absmax() const { return absmax_; }
-  float scale() const { return absmax_ / 127.0F; }
-
- private:
-  float absmax_ = 0.0F;
-};
-
-/// out[x_rows, w.cols] = x * dequant(w) (+ bias): dynamic (or static
-/// calibrated) per-row int8 activation quantization, int8 GEMM, dequantizing
-/// epilogue. `x` is [x_rows, w.rows] row-major; `bias` may be empty.
-/// `static_scale` > 0 uses the calibrated scale for every row.
-void quantized_linear(std::span<const float> x, std::int64_t x_rows,
-                      const QuantizedMatrix& w, std::span<const float> bias,
-                      std::span<float> out, float static_scale = 0.0F);
 
 /// out[x_rows, w.cols] = x * dequant(w) (+ bias) with fp16-stored weights;
 /// math runs in fp32 on the expanded panel.

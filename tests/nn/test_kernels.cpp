@@ -96,100 +96,8 @@ TEST(Kernels, GemmMatchesNaiveAcrossShapes) {
 }
 
 // ---------------------------------------------------------------------------
-// Quantized GEMM golden values (the fused grid-scoring hot path)
+// fp16-weight GEMM golden values (the fused grid-scoring hot path)
 // ---------------------------------------------------------------------------
-
-TEST(Kernels, QuantizeRowsS8GoldenValues) {
-  // absmax row: scale = 2.54 / 127 = 0.02, entries land on exact grid steps.
-  const float x[8] = {0.02F, -0.04F, 2.54F, -2.54F, 0.0F, 0.01F, 1.27F, -0.03F};
-  std::int8_t q[8] = {};
-  float scales[2] = {};
-  kernels::quantize_rows_s8(x, 2, 4, q, scales);
-  EXPECT_FLOAT_EQ(scales[0], 2.54F / 127.0F);
-  EXPECT_EQ(q[0], 1);
-  EXPECT_EQ(q[1], -2);
-  EXPECT_EQ(q[2], 127);
-  EXPECT_EQ(q[3], -127);
-  // Second row: absmax 1.27 -> scale 0.01.
-  EXPECT_FLOAT_EQ(scales[1], 1.27F / 127.0F);
-  EXPECT_EQ(q[4], 0);
-  EXPECT_EQ(q[5], 1);
-  EXPECT_EQ(q[6], 127);
-  EXPECT_EQ(q[7], -3);
-
-  // A zero row quantizes to zeros with scale 0 (no division by zero).
-  const float zeros[3] = {0.0F, 0.0F, 0.0F};
-  std::int8_t qz[3] = {99, 99, 99};
-  float sz = -1.0F;
-  kernels::quantize_rows_s8(zeros, 1, 3, qz, &sz);
-  EXPECT_EQ(sz, 0.0F);
-  EXPECT_EQ(qz[0], 0);
-  EXPECT_EQ(qz[1], 0);
-  EXPECT_EQ(qz[2], 0);
-
-  // A static scale overrides the per-row absmax and saturates.
-  const float y[2] = {0.05F, -9.0F};
-  std::int8_t qs[2] = {};
-  float ss = 0.0F;
-  kernels::quantize_rows_s8(y, 1, 2, qs, &ss, 0.01F);
-  EXPECT_FLOAT_EQ(ss, 0.01F);
-  EXPECT_EQ(qs[0], 5);
-  EXPECT_EQ(qs[1], -127);  // clamped, not wrapped
-}
-
-TEST(Kernels, GemmS8MatchesIntegerReference) {
-  // Random int8 operands with random scales: the kernel must equal an exact
-  // int32 reference accumulation followed by the dequantizing epilogue.
-  Rng rng(21);
-  const std::int64_t m = 7;
-  const std::int64_t k = 33;
-  const std::int64_t n = 5;
-  std::vector<std::int8_t> a(static_cast<std::size_t>(m * k));
-  std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
-  for (auto& v : a) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-  for (auto& v : b) v = static_cast<std::int8_t>(rng.uniform_int(-128, 127));
-  std::vector<float> sa(static_cast<std::size_t>(m));
-  std::vector<float> sb(static_cast<std::size_t>(n));
-  std::vector<float> bias(static_cast<std::size_t>(n));
-  for (auto& v : sa) v = static_cast<float>(rng.uniform(0.001, 0.1));
-  for (auto& v : sb) v = static_cast<float>(rng.uniform(0.001, 0.1));
-  for (auto& v : bias) v = static_cast<float>(rng.normal(0.0, 1.0));
-
-  std::vector<float> c(static_cast<std::size_t>(m * n), 0.5F);
-  kernels::gemm_s8(a.data(), b.data(), c.data(), m, k, n, sa.data(), sb.data(),
-                   bias.data(), false);
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      std::int32_t acc = 0;
-      for (std::int64_t l = 0; l < k; ++l) {
-        acc += static_cast<std::int32_t>(a[i * k + l]) *
-               static_cast<std::int32_t>(b[l * n + j]);
-      }
-      // Integer accumulation is exact, and the kernel pins its epilogue to a
-      // fixed sequence — one rounded scale product, one fma against the bias
-      // — so bitwise equality with this explicit reference is the contract.
-      const float want = std::fmaf(sa[static_cast<std::size_t>(i)] *
-                                       sb[static_cast<std::size_t>(j)],
-                                   static_cast<float>(acc),
-                                   bias[static_cast<std::size_t>(j)]);
-      EXPECT_EQ(c[static_cast<std::size_t>(i * n + j)], want)
-          << "i=" << i << " j=" << j;
-    }
-  }
-
-  // accumulate=true adds the (bias-free) product on top of the existing C.
-  std::vector<float> base(static_cast<std::size_t>(m * n), 0.0F);
-  kernels::gemm_s8(a.data(), b.data(), base.data(), m, k, n, sa.data(),
-                   sb.data(), nullptr, false);
-  std::vector<float> c2(static_cast<std::size_t>(m * n), 1.0F);
-  kernels::gemm_s8(a.data(), b.data(), c2.data(), m, k, n, sa.data(),
-                   sb.data(), nullptr, true);
-  for (std::size_t i = 0; i < c2.size(); ++i) {
-    // The kernel may contract "C + s*acc" into one fma (single rounding),
-    // so allow ulp-level difference from the two-rounding reference.
-    EXPECT_FLOAT_EQ(c2[i], 1.0F + base[i]) << "element " << i;
-  }
-}
 
 TEST(Kernels, GemmF16wMatchesFp32OnRoundedWeights) {
   // gemm_f16w == gemm() run on the fp16-rounded weight panel, exactly.

