@@ -1,8 +1,10 @@
 // Kernel regression harness for the neural-network hot path.
 //
-// Times the GEMM kernel, multi-head attention, and the deployment-critical
-// surrogate forward (predict_grid: encode one l=256 window, score the full
-// config grid — the "0.73 s vs 40.83 s" fast side of §IV-F) in two modes:
+// Times the GEMM kernel, multi-head attention (one window at L = 64/256/512
+// and the encoder's batch of 14 windows at L = 128), and the
+// deployment-critical surrogate forward (predict_grid: encode one l=256
+// window, score the full config grid — the "0.73 s vs 40.83 s" fast side of
+// §IV-F) in two modes:
 //
 //   seed       naive triple-loop GEMM + composed attention + heap tensors
 //              (kernels::set_reference_mode(true), arena disabled)
@@ -180,13 +182,25 @@ void bench_gemm(const std::vector<int>& thread_counts, double min_sample_s,
 void bench_attention(const std::vector<int>& thread_counts,
                      double min_sample_s, int samples) {
   std::printf("[attention]\n");
-  for (std::int64_t l : {64, 256, 512}) {
-    std::string lname = "L";
-    lname += std::to_string(l);
+  // One window at L = 64/256/512, plus the encoder's production shape: 14
+  // windows of L = 128 per call, fleet_surrogate's ~13.8 windows per
+  // shared encode.
+  const struct {
+    std::int64_t batch, l;
+  } shapes[] = {{1, 64}, {1, 256}, {1, 512}, {14, 128}};
+  for (const auto& shape : shapes) {
+    std::string lname;
+    if (shape.batch > 1) {
+      lname += "B";
+      lname += std::to_string(shape.batch);
+      lname += "_";
+    }
+    lname += "L";
+    lname += std::to_string(shape.l);
     Rng rng(7);
     MultiHeadAttention mha(16, 4, rng, 0.0F, 8);
     mha.set_training(false);
-    Var x = make_leaf(randn({1, l, 16}, 9), false);
+    Var x = make_leaf(randn({shape.batch, shape.l, 16}, 9), false);
     NoGradGuard no_grad;
     for (const char* mode : {"seed", "optimized"}) {
       kernels::set_reference_mode(std::strcmp(mode, "seed") == 0);

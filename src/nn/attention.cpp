@@ -46,7 +46,7 @@ Var MultiHeadAttention::forward(const Var& query, const Var& key,
 
   // Fast path: fused scaled-dot-product attention. The head split stays
   // implicit (head h lives in columns [h*dh, (h+1)*dh) of the projections)
-  // and softmax streams one score row at a time, so neither the permuted
+  // and softmax works on 16 query rows at a time, so neither the permuted
   // Q/K/V copies nor the [B, H, Lq, Lk] score tensor are materialized.
   // Requires: no gradient flow (inference under NoGradGuard), no attention
   // recording, inactive dropout, and a mask the kernel understands.

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -37,9 +38,6 @@ obs::Histogram& sdpa_hist() {
 thread_local std::vector<float> tl_pack_a;
 thread_local std::vector<float> tl_pack_b;
 thread_local std::vector<float> tl_f16_b;  // dequantized fp16 weight panel
-thread_local std::vector<float> tl_sdpa_row;
-thread_local std::vector<float> tl_sdpa_kt;
-thread_local std::vector<float> tl_sdpa_vt;
 
 /// dst (cols x rows, row-major) = transpose of src (rows x cols, row-major),
 /// tiled so both sides stay cache-resident.
@@ -463,11 +461,31 @@ void gemm(const float* A, const float* B, float* C, std::int64_t m,
 
 namespace {
 
+// Fused attention works on blocks of kSdpaRows query rows (DESIGN.md §7).
+// A RowVec holds one float per row of a block, so every vector operation
+// below is elementwise across rows and each output element's arithmetic is
+// fixed by the source, whatever the target's vector width.
+constexpr std::int64_t kSdpaRows = 16;
+// Interleaved partial sums per softmax denominator and context element:
+// the float lane count of the key-vectorized reductions this kernel
+// replaced on AVX-512, so those builds keep their results when lk % 16 == 0.
+constexpr std::int64_t kSdpaParts = 16;
+typedef float RowVec __attribute__((vector_size(kSdpaRows * sizeof(float))));
+
+// Per-thread attention scratch: K/V panels and per-row-block vectors.
+thread_local std::vector<float> tl_sdpa_kv;
+thread_local std::vector<RowVec> tl_sdpa_vecs;
+
 void fused_sdpa_impl(const float* q, const float* k, const float* v,
                      float* out, std::int64_t batch, std::int64_t lq,
                      std::int64_t lk, std::int64_t heads, std::int64_t dim,
                      float scale, const float* mask) {
+  constexpr std::int64_t R = kSdpaRows;
+  constexpr std::int64_t P = kSdpaParts;
   const std::int64_t dh = dim / heads;
+  // Keys padded to whole blocks of P. Padded keys get zero K, V and
+  // exponential, so they add exact zeros to every partial.
+  const std::int64_t lkp = (lk + P - 1) / P * P;
   const std::int64_t tasks = batch * heads;
   // ~4 flops per (i, j, d) triple: QK^T dot plus the PV accumulation.
   const std::int64_t flops_per_task = 4 * lq * lk * dh;
@@ -478,83 +496,107 @@ void fused_sdpa_impl(const float* q, const float* k, const float* v,
       [&](std::size_t t) {
         const auto b = static_cast<std::int64_t>(t) / heads;
         const auto h = static_cast<std::int64_t>(t) % heads;
-        auto& row = tl_sdpa_row;
-        auto& kt = tl_sdpa_kt;
-        auto& vt = tl_sdpa_vt;
-        if (row.size() < static_cast<std::size_t>(lk)) row.resize(lk);
-        const auto panel = static_cast<std::size_t>(dh * lk);
-        if (kt.size() < panel) kt.resize(panel);
-        if (vt.size() < panel) vt.resize(panel);
+        // This head's K and V as [dh, lkp] panels; per row block, the
+        // scaled queries qt[d] and the scores, turned exponentials in
+        // place, et[j].
+        const auto kv_need = static_cast<std::size_t>(2 * dh * lkp);
+        const auto vecs_need = static_cast<std::size_t>(dh + lkp);
+        if (tl_sdpa_kv.size() < kv_need) tl_sdpa_kv.resize(kv_need);
+        if (tl_sdpa_vecs.size() < vecs_need) tl_sdpa_vecs.resize(vecs_need);
+        float* kt = tl_sdpa_kv.data();
+        float* vt = kt + dh * lkp;
+        RowVec* qt = tl_sdpa_vecs.data();
+        RowVec* et = qt + dh;
         const float* qb = q + b * lq * dim + h * dh;
         const float* kb = k + b * lk * dim + h * dh;
         const float* vb = v + b * lk * dim + h * dh;
         float* ob = out + b * lq * dim + h * dh;
-        // Pack this head's K and V slices as [dh, lk] panels so every
-        // per-query pass below streams unit-stride memory over lk.
         for (std::int64_t d = 0; d < dh; ++d) {
-          float* ktd = kt.data() + d * lk;
-          float* vtd = vt.data() + d * lk;
-          for (std::int64_t j = 0; j < lk; ++j) {
-            ktd[j] = kb[j * dim + d];
-            vtd[j] = vb[j * dim + d];
+          for (std::int64_t j = 0; j < lkp; ++j) {
+            kt[d * lkp + j] = j < lk ? kb[j * dim + d] : 0.0F;
+            vt[d * lkp + j] = j < lk ? vb[j * dim + d] : 0.0F;
           }
         }
-        for (std::int64_t i = 0; i < lq; ++i) {
-          const float* qi = qb + i * dim;
-          float* srow = row.data();
-          // Score row (the only per-query state; the full score tensor is
-          // never materialized), built as dh rank-1 updates over lk.
-          {
-            const float q0 = qi[0] * scale;
-            const float* kt0 = kt.data();
-            for (std::int64_t j = 0; j < lk; ++j) srow[j] = q0 * kt0[j];
-          }
-          for (std::int64_t d = 1; d < dh; ++d) {
-            const float qd = qi[d] * scale;
-            const float* ktd = kt.data() + d * lk;
-            for (std::int64_t j = 0; j < lk; ++j) srow[j] += qd * ktd[j];
-          }
-          if (mask) {
-            const float* mrow = mask + i * lk;
-            for (std::int64_t j = 0; j < lk; ++j) srow[j] += mrow[j];
-          }
-          // Lane-array max: fixed 16-wide blocks vectorize as straight-line
-          // code, which GCC handles much better than a `reduction(max:)`
-          // loop. The lane count is a compile-time constant, so results stay
-          // identical across thread counts.
-          float lanes[16];
-          for (int l = 0; l < 16; ++l) {
-            lanes[l] = -std::numeric_limits<float>::infinity();
-          }
-          std::int64_t j = 0;
-          for (; j + 16 <= lk; j += 16) {
-            for (int l = 0; l < 16; ++l) {
-              lanes[l] = std::max(lanes[l], srow[j + l]);
+        for (std::int64_t i0 = 0; i0 < lq; i0 += R) {
+          const std::int64_t rows = std::min(R, lq - i0);
+          // Padding rows get zero queries, so their lanes stay finite; they
+          // are never written out, and no lane reads another.
+          for (std::int64_t d = 0; d < dh; ++d) {
+            for (std::int64_t r = 0; r < R; ++r) {
+              qt[d][r] = r < rows ? qb[(i0 + r) * dim + d] * scale : 0.0F;
             }
           }
-          float mx = lanes[0];
-          for (int l = 1; l < 16; ++l) mx = std::max(mx, lanes[l]);
-          for (; j < lk; ++j) mx = std::max(mx, srow[j]);
-          // Streaming softmax: exponentiate in place, normalize via 1/sum.
-          // This file is compiled with glibc's simd declaration for expf
-          // enabled (see src/nn/CMakeLists.txt), so the loop calls the
-          // vectorized libmvec kernel; expf(-inf) = 0 handles masked
-          // positions exactly like the reference softmax.
-          float sum = 0.0F;
-#pragma omp simd reduction(+ : sum)
-          for (std::int64_t j = 0; j < lk; ++j) {
-            const float e = ::expf(srow[j] - mx);
-            srow[j] = e;
-            sum += e;
+          // Scores s_j = (q_0 scale) k_j0 + ... + (q_dh-1 scale) k_j,dh-1,
+          // left to right, for P keys at a time; then + mask.
+          for (std::int64_t j0 = 0; j0 < lkp; j0 += P) {
+            RowVec s[P];
+            for (std::int64_t p = 0; p < P; ++p) s[p] = qt[0] * kt[j0 + p];
+            for (std::int64_t d = 1; d < dh; ++d) {
+              const float* kd = kt + d * lkp + j0;
+              for (std::int64_t p = 0; p < P; ++p) s[p] += qt[d] * kd[p];
+            }
+            for (std::int64_t p = 0; p < P; ++p) et[j0 + p] = s[p];
           }
-          const float inv = 1.0F / sum;
-          float* oi = ob + i * dim;
+          if (mask) {
+            for (std::int64_t r = 0; r < rows; ++r) {
+              const float* mrow = mask + (i0 + r) * lk;
+              for (std::int64_t j = 0; j < lk; ++j) et[j][r] += mrow[j];
+            }
+          }
+          // Row max over the real keys, exact in any order: four running
+          // maxima, then folded.
+          const float inf = std::numeric_limits<float>::infinity();
+          RowVec m[4] = {RowVec{} - inf, RowVec{} - inf, RowVec{} - inf,
+                         RowVec{} - inf};
+          std::int64_t j = 0;
+          for (; j + 4 <= lk; j += 4) {
+            for (std::int64_t u = 0; u < 4; ++u) {
+              m[u] = m[u] < et[j + u] ? et[j + u] : m[u];
+            }
+          }
+          for (; j < lk; ++j) m[0] = m[0] < et[j] ? et[j] : m[0];
+          m[0] = m[0] < m[1] ? m[1] : m[0];
+          m[2] = m[2] < m[3] ? m[3] : m[2];
+          m[0] = m[0] < m[2] ? m[2] : m[0];
+          float mx[R];
+          std::memcpy(mx, &m[0], sizeof mx);
+          // Exponentials in place. This file is compiled with glibc's simd
+          // declaration for expf enabled (src/nn/CMakeLists.txt), so the
+          // call is the vectorized libmvec kernel; expf(-inf) = 0 handles
+          // masked keys exactly like the reference softmax.
+          for (j = 0; j < lk; ++j) {
+            float e[R];
+            std::memcpy(e, &et[j], sizeof e);
+#pragma omp simd
+            for (std::int64_t r = 0; r < R; ++r) e[r] = ::expf(e[r] - mx[r]);
+            std::memcpy(&et[j], e, sizeof e);
+          }
+          std::fill(et + lk, et + lkp, RowVec{});
+          // The denominator and each context element are sums over keys,
+          // taken as P partials: partial p adds e_j (times v_jd) for the
+          // keys j = p (mod P) in key order, and the sum is
+          // ((0 + p_0) + p_1) + ... + p_P-1. The sum is an out parameter:
+          // returning a RowVec changes the ABI on builds without AVX-512.
+          const auto key_sum = [&](const float* w, RowVec& sum) {
+            RowVec part[P] = {};
+            for (std::int64_t j0 = 0; j0 < lkp; j0 += P) {
+              for (std::int64_t p = 0; p < P; ++p) {
+                part[p] += w ? et[j0 + p] * w[j0 + p] : et[j0 + p];
+              }
+            }
+            sum = RowVec{};
+            for (std::int64_t p = 0; p < P; ++p) sum += part[p];
+          };
+          RowVec inv;
+          key_sum(nullptr, inv);
+          inv = 1.0F / inv;
           for (std::int64_t d = 0; d < dh; ++d) {
-            const float* vtd = vt.data() + d * lk;
-            float ctx = 0.0F;
-#pragma omp simd reduction(+ : ctx)
-            for (std::int64_t j = 0; j < lk; ++j) ctx += srow[j] * vtd[j];
-            oi[d] = ctx * inv;
+            RowVec ctx;
+            key_sum(vt + d * lkp, ctx);
+            ctx *= inv;
+            for (std::int64_t r = 0; r < rows; ++r) {
+              ob[(i0 + r) * dim + d] = ctx[r];
+            }
           }
         }
       },

@@ -48,10 +48,11 @@ void gemm(const float* A, const float* B, float* C, std::int64_t m,
 ///   out[b, i, h*dh:*] = sum_j softmax_j(scale * q[b,i,h]·k[b,j,h]
 ///                                       + mask[i,j]) * v[b, j, h*dh:*]
 ///
-/// Softmax is computed row-streaming (max-subtract, exp, normalize in one
-/// pass over a single Lk-length row buffer); the [B, H, Lq, Lk] score
-/// tensor is never materialized. `mask`, if non-null, is an additive
-/// [lq, lk] row-major matrix shared across batch and heads.
+/// Query rows are processed in blocks of 16 with the row as the vector
+/// axis, so each output element is summed in the fixed order DESIGN.md §7
+/// states, whatever rows share its block; the [B, H, Lq, Lk] score tensor
+/// is never materialized. `mask`, if non-null, is an additive [lq, lk]
+/// row-major matrix shared across batch and heads.
 void fused_sdpa(const float* q, const float* k, const float* v, float* out,
                 std::int64_t batch, std::int64_t lq, std::int64_t lk,
                 std::int64_t heads, std::int64_t dim, float scale,

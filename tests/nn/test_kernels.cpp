@@ -216,30 +216,42 @@ void sdpa_reference(const float* q, const float* k, const float* v,
   }
 }
 
+/// Causal-style additive mask: -inf above the diagonal, 0 elsewhere.
+std::vector<float> causal_mask(std::int64_t lq, std::int64_t lk) {
+  std::vector<float> mask(static_cast<std::size_t>(lq * lk), 0.0F);
+  for (std::int64_t i = 0; i < lq; ++i) {
+    for (std::int64_t j = i + 1; j < lk; ++j) {
+      mask[static_cast<std::size_t>(i * lk + j)] =
+          -std::numeric_limits<float>::infinity();
+    }
+  }
+  return mask;
+}
+
 TEST(Kernels, FusedSdpaMatchesReference) {
-  const struct {
+  struct Case {
     std::int64_t batch, lq, lk, heads, dim;
     bool masked;
-  } cases[] = {{1, 8, 8, 2, 8, false},  {2, 33, 33, 4, 16, false},
-               {1, 37, 21, 4, 16, false}, {1, 16, 16, 1, 4, true},
-               {2, 40, 40, 4, 16, true},  {1, 1, 5, 2, 8, false}};
+  };
+  std::vector<Case> cases = {{1, 8, 8, 2, 8, false},  {2, 33, 33, 4, 16, false},
+                             {1, 37, 21, 4, 16, false}, {1, 16, 16, 1, 4, true},
+                             {2, 40, 40, 4, 16, true},  {1, 1, 5, 2, 8, false}};
+  // The kernel works on blocks of 16 query rows and 16 interleaved key
+  // partials: cross both block edges, with head widths below and at 16.
+  for (const std::int64_t lq : {15, 17, 33}) {
+    for (const std::int64_t lk : {1, 17, 100}) {
+      for (const std::int64_t dh : {8, 16}) {
+        cases.push_back({2, lq, lk, 2, 2 * dh, false});
+      }
+    }
+  }
+  cases.push_back({2, 17, 17, 2, 32, true});
   for (const auto& c : cases) {
     const auto q = random_vec(c.batch * c.lq * c.dim, 11);
     const auto k = random_vec(c.batch * c.lk * c.dim, 12);
     const auto v = random_vec(c.batch * c.lk * c.dim, 13);
-    std::vector<float> mask;
-    if (c.masked) {
-      // Causal-style mask with -inf above the diagonal band.
-      mask.assign(static_cast<std::size_t>(c.lq * c.lk), 0.0F);
-      for (std::int64_t i = 0; i < c.lq; ++i) {
-        for (std::int64_t j = 0; j < c.lk; ++j) {
-          if (j > i) {
-            mask[static_cast<std::size_t>(i * c.lk + j)] =
-                -std::numeric_limits<float>::infinity();
-          }
-        }
-      }
-    }
+    const std::vector<float> mask =
+        c.masked ? causal_mask(c.lq, c.lk) : std::vector<float>{};
     const float scale =
         1.0F / std::sqrt(static_cast<float>(c.dim / c.heads));
     std::vector<float> out_ref(static_cast<std::size_t>(c.batch * c.lq * c.dim));
@@ -255,6 +267,47 @@ TEST(Kernels, FusedSdpaMatchesReference) {
                                     << " masked=" << c.masked);
     expect_allclose(out_ref.data(), out_fused.data(),
                     static_cast<std::int64_t>(out_ref.size()));
+  }
+}
+
+TEST(Kernels, FusedSdpaRowsAreIndependent) {
+  // Each query row's output is a function of that row alone: any lq must
+  // give the bits of an lq = 1 call per row against the same K/V (and the
+  // row's mask row). Batched-equals-solo replays rely on this.
+  const std::int64_t B = 2, H = 4, D = 16;
+  for (const std::int64_t lk : {16, 37}) {
+    for (const std::int64_t lq : {1, 15, 16, 17, 40}) {
+      for (const bool masked : {false, true}) {
+        SCOPED_TRACE(testing::Message()
+                     << "lq=" << lq << " lk=" << lk << " masked=" << masked);
+        const auto q = random_vec(B * lq * D, 51);
+        const auto k = random_vec(B * lk * D, 52);
+        const auto v = random_vec(B * lk * D, 53);
+        const std::vector<float> mask =
+            masked ? causal_mask(lq, lk) : std::vector<float>{};
+        std::vector<float> out(static_cast<std::size_t>(B * lq * D));
+        kernels::fused_sdpa(q.data(), k.data(), v.data(), out.data(), B, lq,
+                            lk, H, D, 0.5F, masked ? mask.data() : nullptr);
+        for (std::int64_t i = 0; i < lq; ++i) {
+          std::vector<float> qi(static_cast<std::size_t>(B * D));
+          for (std::int64_t b = 0; b < B; ++b) {
+            std::memcpy(qi.data() + b * D, q.data() + (b * lq + i) * D,
+                        sizeof(float) * D);
+          }
+          std::vector<float> oi(qi.size());
+          kernels::fused_sdpa(qi.data(), k.data(), v.data(), oi.data(), B, 1,
+                              lk, H, D, 0.5F,
+                              masked ? mask.data() + i * lk : nullptr);
+          for (std::int64_t b = 0; b < B; ++b) {
+            ASSERT_EQ(std::memcmp(oi.data() + b * D,
+                                  out.data() + (b * lq + i) * D,
+                                  sizeof(float) * D),
+                      0)
+                << "row " << i << " batch " << b;
+          }
+        }
+      }
+    }
   }
 }
 
