@@ -1,10 +1,11 @@
 // Kernel regression harness for the neural-network hot path.
 //
 // Times the GEMM kernel, multi-head attention (one window at L = 64/256/512
-// and the encoder's batch of 14 windows at L = 128), and the
-// deployment-critical surrogate forward (predict_grid: encode one l=256
-// window, score the full config grid — the "0.73 s vs 40.83 s" fast side of
-// §IV-F) in two modes:
+// and the encoder's batch of 14 windows at L = 128), the training step
+// (attention forward + backward and one surrogate Adam step at batch 8 of
+// L = 128), and the deployment-critical surrogate forward (predict_grid:
+// encode one l=256 window, score the full config grid — the "0.73 s vs
+// 40.83 s" fast side of §IV-F) in two modes:
 //
 //   seed       naive triple-loop GEMM + composed attention + heap tensors
 //              (kernels::set_reference_mode(true), arena disabled)
@@ -28,9 +29,11 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "core/surrogate.hpp"
+#include "core/trainer.hpp"
 #include "nn/arena.hpp"
 #include "nn/attention.hpp"
 #include "nn/kernels.hpp"
+#include "nn/optim.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -220,6 +223,57 @@ void bench_attention(const std::vector<int>& thread_counts,
   }
   kernels::set_reference_mode(false);
   arena::set_enabled(true);
+}
+
+void bench_train_step(const std::vector<int>& thread_counts,
+                      double min_sample_s, int samples) {
+  // Informational (no gate key): the training step that offline pretrain
+  // and every online retrain repeat, at the bench surrogate's shape (batch
+  // 8 of L = 128 windows, dropout 0.1). mha_fwd_bwd_B8_L128 is one
+  // attention forward + backward; surrogate_step_B8_L128 is forward, Eq. 9
+  // loss, backward and one Adam step.
+  std::printf("[train_step]\n");
+  constexpr std::int64_t kBatch = 8;
+  constexpr std::int64_t kLen = 128;
+  Rng rng(7);
+  MultiHeadAttention mha(16, 4, rng, 0.1F, 8);
+  mha.set_training(true);
+  const std::vector<Var> mha_params = mha.parameters();
+  const Var x = make_leaf(randn({kBatch, kLen, 16}, 9), true);
+  core::SurrogateConfig scfg;
+  scfg.sequence_length = kLen;
+  core::Surrogate model(scfg, lambda::ConfigGrid::standard());
+  model.set_training(true);
+  const Var seq = make_leaf(randn({kBatch, kLen, 1}, 10), false);
+  const Var feats = make_leaf(randn({kBatch, scfg.feature_dim}, 11), false);
+  const Var targets = make_leaf(randn({kBatch, scfg.output_dim}, 12), false);
+  const core::TrainOptions topt;
+  Adam adam(model.parameters(), topt.learning_rate);
+  for (const char* mode : {"seed", "optimized"}) {
+    kernels::set_reference_mode(std::strcmp(mode, "seed") == 0);
+    for (int t : thread_counts) {
+      set_threads(t);
+      const double mha_ns = time_ns(
+          [&] {
+            x->zero_grad();
+            zero_grad(mha_params);
+            backward(sum_all(mha.forward(x, x, x)));
+          },
+          min_sample_s, samples);
+      record({"train_step", "mha_fwd_bwd_B8_L128", mode, t, mha_ns, -1.0});
+      const double step_ns = time_ns(
+          [&] {
+            adam.zero_grad();
+            const Var pred = model.forward(seq, feats);
+            backward(combined_loss(pred, targets, topt.alpha,
+                                   topt.huber_delta));
+            adam.step();
+          },
+          min_sample_s, samples);
+      record({"train_step", "surrogate_step_B8_L128", mode, t, step_ns, -1.0});
+    }
+  }
+  kernels::set_reference_mode(false);
 }
 
 double bench_surrogate(const std::vector<int>& thread_counts,
@@ -500,6 +554,7 @@ int main(int argc, char** argv) {
   bench_gemm(thread_counts, min_sample_s, samples);
   bench_attention(thread_counts, min_sample_s, samples);
   bench_grid_scoring(thread_counts, min_sample_s, samples);
+  bench_train_step(thread_counts, min_sample_s, samples);
   double seed_1t = 0.0;
   double opt_1t = 0.0;
   const double speedup =
@@ -507,6 +562,13 @@ int main(int argc, char** argv) {
   std::printf("\nsurrogate forward (l=256, full grid, 1 thread): "
               "seed %.2f ms -> optimized %.2f ms  (%.2fx)\n",
               seed_1t / 1e6, opt_1t / 1e6, speedup);
+  const double step_seed =
+      find_ns("train_step", "surrogate_step_B8_L128", "seed", 1);
+  const double step_opt =
+      find_ns("train_step", "surrogate_step_B8_L128", "optimized", 1);
+  std::printf("surrogate training step (B8_L128, 1 thread): "
+              "seed %.2f ms -> optimized %.2f ms  (%.2fx)\n",
+              step_seed / 1e6, step_opt / 1e6, step_seed / step_opt);
   write_json(json_path, speedup, seed_1t, opt_1t);
   std::printf("wrote %s\n", json_path.c_str());
   if (!gate_path.empty()) {

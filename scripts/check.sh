@@ -125,12 +125,14 @@ OMP_NUM_THREADS=1 ./build-tsan/tests/test_fleet
 # surfaces; the adaptive E2E tests ride along.
 OMP_NUM_THREADS=1 ./build-tsan/tests/test_learn
 # Covers the golden fp16-weight GEMM and binary16 conversion tests
-# (gemm_f16w / fp16_to_fp32 / fp32_to_fp16) under TSan's runtime. Filtered: the bit-identity suites set OMP thread
-# counts internally, and libgomp's barriers are opaque to TSan (same false
-# positives as above — OMP_NUM_THREADS=1 cannot pin an explicit
-# omp_set_num_threads).
+# (gemm_f16w / fp16_to_fp32 / fp32_to_fp16) and the fused attention
+# training step (gradcheck, fused vs composed forward and gradients,
+# training vs inference bits, dropout keep-mask) under TSan's runtime.
+# Filtered: the bit-identity suites set OMP thread counts internally, and
+# libgomp's barriers are opaque to TSan (same false positives as above —
+# OMP_NUM_THREADS=1 cannot pin an explicit omp_set_num_threads).
 OMP_NUM_THREADS=1 ./build-tsan/tests/test_nn_kernels \
-  --gtest_filter='Kernels.GemmF16w*:Kernels.Fp16*'
+  --gtest_filter='Kernels.GemmF16w*:Kernels.Fp16*:Kernels.FusedTrain*:Kernels.Dropout*'
 
 echo "== kernel bench gate =="
 # Kernel bench against the committed speedup baseline: named tall-skinny

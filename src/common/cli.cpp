@@ -1,6 +1,7 @@
 #include "common/cli.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 
 #include "common/error.hpp"
@@ -60,6 +61,22 @@ void CliFlags::check_known(std::initializer_list<const char*> allowed) const {
                     [&](const char* a) { return key == a; });
     DEEPBAT_CHECK(known, "unknown flag --" + key);
   }
+}
+
+std::int64_t parse_positive_int(std::string_view text, std::string_view what,
+                                std::int64_t max) {
+  std::int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const bool digits =
+      !text.empty() && std::all_of(text.begin(), text.end(), [](char c) {
+        return c >= '0' && c <= '9';
+      });
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  DEEPBAT_CHECK(digits && ec == std::errc() && ptr == end && value >= 1 &&
+                    value <= max,
+                std::string(what) + ": expected a whole positive integer <= " +
+                    std::to_string(max) + ", got '" + std::string(text) + "'");
+  return value;
 }
 
 }  // namespace deepbat

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace deepbat {
 
@@ -29,5 +30,11 @@ class CliFlags {
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// `text` as a whole positive decimal integer token (digits only, no sign
+/// or whitespace, 1 <= value <= max). Throws deepbat::Error naming `what`
+/// otherwise.
+std::int64_t parse_positive_int(std::string_view text, std::string_view what,
+                                std::int64_t max = INT64_MAX);
 
 }  // namespace deepbat

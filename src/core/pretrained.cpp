@@ -1,7 +1,9 @@
 #include "core/pretrained.hpp"
 
+#include <climits>
 #include <cstdlib>
 
+#include "common/cli.hpp"
 #include "common/log.hpp"
 #include "nn/serialize.hpp"
 
@@ -45,10 +47,12 @@ PretrainSpec bench_spec(const std::filesystem::path& cache_dir) {
   spec.train.epochs = 24;
   spec.dataset.samples = 800;
   if (const char* e = std::getenv("DEEPBAT_TRAIN_EPOCHS")) {
-    spec.train.epochs = std::atoi(e);
+    spec.train.epochs = static_cast<int>(
+        parse_positive_int(e, "DEEPBAT_TRAIN_EPOCHS", INT_MAX));
   }
   if (const char* s = std::getenv("DEEPBAT_TRAIN_SAMPLES")) {
-    spec.dataset.samples = static_cast<std::size_t>(std::atoll(s));
+    spec.dataset.samples = static_cast<std::size_t>(
+        parse_positive_int(s, "DEEPBAT_TRAIN_SAMPLES"));
   }
   return spec;
 }

@@ -33,6 +33,26 @@ obs::Histogram& sdpa_hist() {
   return h;
 }
 
+obs::Histogram& sdpa_backward_hist() {
+  static obs::Histogram& h = obs::MetricsRegistry::instance().histogram(
+      "nn.kernels.attention_backward_seconds");
+  return h;
+}
+
+/// Runs `body` and, with observability on, records its wall time in `hist`.
+template <typename Body>
+void timed(obs::Histogram& (*hist)(), Body&& body) {
+  if (!obs::enabled()) {
+    body();
+    return;
+  }
+  const auto start = std::chrono::steady_clock::now();
+  body();
+  hist().observe(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count());
+}
+
 // Packing scratch, one buffer pair per thread so batched matmuls can pack
 // concurrently. Capacity is retained across calls.
 thread_local std::vector<float> tl_pack_a;
@@ -448,15 +468,9 @@ void gemm_dispatch(const float* A, const float* B, float* C, std::int64_t m,
 void gemm(const float* A, const float* B, float* C, std::int64_t m,
           std::int64_t k, std::int64_t n, bool trans_a, bool trans_b,
           bool accumulate) {
-  if (!obs::enabled()) {
+  timed(gemm_hist, [&] {
     gemm_dispatch(A, B, C, m, k, n, trans_a, trans_b, accumulate);
-    return;
-  }
-  const auto start = std::chrono::steady_clock::now();
-  gemm_dispatch(A, B, C, m, k, n, trans_a, trans_b, accumulate);
-  gemm_hist().observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count());
+  });
 }
 
 namespace {
@@ -476,29 +490,183 @@ typedef float RowVec __attribute__((vector_size(kSdpaRows * sizeof(float))));
 thread_local std::vector<float> tl_sdpa_kv;
 thread_local std::vector<RowVec> tl_sdpa_vecs;
 
+/// Grain for `tasks` (batch, head) tasks of `flops_per_task` flops each.
+/// As for GEMM, a call under kMinFlopsParallel total flops runs serially
+/// (grain = tasks): its fork/join would cost more than the math.
+std::size_t sdpa_grain(std::int64_t tasks, std::int64_t flops_per_task) {
+  if (tasks * flops_per_task < kMinFlopsParallel) {
+    return static_cast<std::size_t>(std::max<std::int64_t>(tasks, 1));
+  }
+  return static_cast<std::size_t>(std::max<std::int64_t>(
+      1, kMinFlopsPerTask / std::max<std::int64_t>(flops_per_task, 1)));
+}
+
+/// One head's K and V slices as [dh, lkp] panels. Padded keys get zero K
+/// and V, so they add exact zeros to every partial.
+void pack_kv(const float* kb, const float* vb, std::int64_t lk,
+             std::int64_t lkp, std::int64_t dh, std::int64_t dim, float* kt,
+             float* vt) {
+  for (std::int64_t d = 0; d < dh; ++d) {
+    for (std::int64_t j = 0; j < lkp; ++j) {
+      kt[d * lkp + j] = j < lk ? kb[j * dim + d] : 0.0F;
+      vt[d * lkp + j] = j < lk ? vb[j * dim + d] : 0.0F;
+    }
+  }
+}
+
+/// dst[d][r] = src[r][d] * mul for the block's rows. Padding rows get
+/// zeros, so their lanes stay finite; they are never written out, and no
+/// lane reads another.
+void load_rows(const float* src, std::int64_t rows, std::int64_t dh,
+               std::int64_t dim, float mul, RowVec* dst) {
+  for (std::int64_t d = 0; d < dh; ++d) {
+    for (std::int64_t r = 0; r < kSdpaRows; ++r) {
+      dst[d][r] = r < rows ? src[r * dim + d] * mul : 0.0F;
+    }
+  }
+}
+
+/// Scores s_j = (q_0 scale) k_j0 + ... + (q_dh-1 scale) k_j,dh-1, left to
+/// right, for P keys at a time; then + mask (rows of `mask` start at the
+/// block's first row). Backward recomputes the scores with this function,
+/// so it sees the forward's bits.
+void block_scores(const RowVec* qt, const float* kt, std::int64_t dh,
+                  std::int64_t lkp, const float* mask, std::int64_t rows,
+                  std::int64_t lk, RowVec* et) {
+  constexpr std::int64_t P = kSdpaParts;
+  for (std::int64_t j0 = 0; j0 < lkp; j0 += P) {
+    RowVec s[P];
+    for (std::int64_t p = 0; p < P; ++p) s[p] = qt[0] * kt[j0 + p];
+    for (std::int64_t d = 1; d < dh; ++d) {
+      const float* kd = kt + d * lkp + j0;
+      for (std::int64_t p = 0; p < P; ++p) s[p] += qt[d] * kd[p];
+    }
+    for (std::int64_t p = 0; p < P; ++p) et[j0 + p] = s[p];
+  }
+  if (mask) {
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const float* mrow = mask + r * lk;
+      for (std::int64_t j = 0; j < lk; ++j) et[j][r] += mrow[j];
+    }
+  }
+}
+
+/// Exponentials in place, e_j = expf(s_j - mx), and zero for padding keys.
+/// This file is compiled with glibc's simd declaration for expf enabled
+/// (src/nn/CMakeLists.txt), so the call is the vectorized libmvec kernel;
+/// expf(-inf) = 0 handles masked keys exactly like the reference softmax.
+void block_exp(RowVec* et, std::int64_t lk, std::int64_t lkp,
+               const float* mx) {
+  for (std::int64_t j = 0; j < lk; ++j) {
+    float e[kSdpaRows];
+    std::memcpy(e, &et[j], sizeof e);
+#pragma omp simd
+    for (std::int64_t r = 0; r < kSdpaRows; ++r) e[r] = ::expf(e[r] - mx[r]);
+    std::memcpy(&et[j], e, sizeof e);
+  }
+  std::fill(et + lk, et + lkp, RowVec{});
+}
+
+// Sums over keys are taken as P partials: partial p adds the terms of the
+// keys j = p (mod P) in key order, and the sum is
+// ((0 + p_0) + p_1) + ... + p_P-1. The sum is an out parameter: returning a
+// RowVec changes the ABI on builds without AVX-512.
+
+/// sum = Σ_j x_j w_j, with w a [lkp] key row of floats (the same for every
+/// row) or of per-row vectors; Σ_j x_j when w is null.
+template <typename W>
+void key_sum(const RowVec* x, const W* w, std::int64_t lkp, RowVec& sum) {
+  constexpr std::int64_t P = kSdpaParts;
+  RowVec part[P] = {};
+  for (std::int64_t j0 = 0; j0 < lkp; j0 += P) {
+    for (std::int64_t p = 0; p < P; ++p) {
+      part[p] += w ? x[j0 + p] * w[j0 + p] : x[j0 + p];
+    }
+  }
+  sum = RowVec{};
+  for (std::int64_t p = 0; p < P; ++p) sum += part[p];
+}
+
+// Dropout works on one key of a row block at a time: lane r of these
+// vectors belongs to query row 16 * block + r, like RowVec's.
+typedef std::uint64_t LaneU64
+    __attribute__((vector_size(kSdpaRows * sizeof(std::uint64_t))));
+typedef std::int32_t LaneI32
+    __attribute__((vector_size(kSdpaRows * sizeof(std::int32_t))));
+constexpr LaneI32 kLaneBit = {1 << 0,  1 << 1,  1 << 2,  1 << 3,
+                              1 << 4,  1 << 5,  1 << 6,  1 << 7,
+                              1 << 8,  1 << 9,  1 << 10, 1 << 11,
+                              1 << 12, 1 << 13, 1 << 14, 1 << 15};
+
+/// Draws the block's keep mask, 16 rows at once: lane r's element of key
+/// j has flat index first[r] + j, so its counter steps by kDropoutStride
+/// per key. Stores the mask as one 16-bit word per key and zeroes the
+/// dropped exponentials (an exact zero; the survivors' 1 / keep rides on
+/// the normalizer). Padding rows get clear bits.
+void block_dropout(std::uint64_t key, std::uint64_t threshold,
+                   const LaneU64& first, std::int64_t rows, std::int64_t lk,
+                   std::uint16_t* bits, RowVec* et) {
+  LaneI32 valid;
+  for (std::int64_t r = 0; r < kSdpaRows; ++r) valid[r] = r < rows ? -1 : 0;
+  LaneU64 z = key + first * kDropoutStride;
+  for (std::int64_t j = 0; j < lk; ++j, z += kDropoutStride) {
+    const LaneI32 kept = -__builtin_convertvector(
+        dropout_keep_bit(z, threshold), LaneI32);  // -1 kept, 0 dropped
+    et[j] = (RowVec)((LaneI32)et[j] & kept);
+    // OR the lanes' bits together, halving the vector each step.
+    LaneI32 word = kept & valid & kLaneBit;
+    word |= __builtin_shufflevector(word, word, 8, 9, 10, 11, 12, 13, 14, 15,
+                                    0, 1, 2, 3, 4, 5, 6, 7);
+    word |= __builtin_shufflevector(word, word, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5,
+                                    6, 7, 0, 1, 2, 3);
+    word |= __builtin_shufflevector(word, word, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3,
+                                    0, 1, 2, 3, 0, 1);
+    word |= __builtin_shufflevector(word, word, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0,
+                                    1, 0, 1, 0, 1, 0);
+    bits[j] = static_cast<std::uint16_t>(word[0]);
+  }
+}
+
+/// The dropout multipliers of a row block from its saved words:
+/// mt[j] lane r = 1 / keep if row r kept key j, else 0; padding keys 0.
+void block_dropout_multipliers(const std::uint16_t* bits, float inv_keep,
+                               std::int64_t lk, std::int64_t lkp,
+                               RowVec* mt) {
+  std::int32_t inv_keep_bits;
+  std::memcpy(&inv_keep_bits, &inv_keep, sizeof inv_keep_bits);
+  for (std::int64_t j = 0; j < lk; ++j) {
+    const LaneI32 on = ((LaneI32{} + bits[j]) & kLaneBit) != 0;
+    mt[j] = (RowVec)(on & inv_keep_bits);
+  }
+  std::fill(mt + lk, mt + lkp, RowVec{});
+}
+
+/// Forward of fused attention. With `saved` it is the training forward:
+/// it records each row's max and 1/sum and, when saved->keep < 1, draws
+/// and applies the dropout mask (keyed by `key`).
 void fused_sdpa_impl(const float* q, const float* k, const float* v,
                      float* out, std::int64_t batch, std::int64_t lq,
                      std::int64_t lk, std::int64_t heads, std::int64_t dim,
-                     float scale, const float* mask) {
+                     float scale, const float* mask, SdpaSaved* saved,
+                     std::uint64_t key) {
   constexpr std::int64_t R = kSdpaRows;
   constexpr std::int64_t P = kSdpaParts;
   const std::int64_t dh = dim / heads;
-  // Keys padded to whole blocks of P. Padded keys get zero K, V and
-  // exponential, so they add exact zeros to every partial.
+  // Keys padded to whole blocks of P.
   const std::int64_t lkp = (lk + P - 1) / P * P;
   const std::int64_t tasks = batch * heads;
-  // ~4 flops per (i, j, d) triple: QK^T dot plus the PV accumulation.
-  const std::int64_t flops_per_task = 4 * lq * lk * dh;
-  const auto grain = static_cast<std::size_t>(std::max<std::int64_t>(
-      1, kMinFlopsPerTask / std::max<std::int64_t>(flops_per_task, 1)));
+  const bool drop = saved != nullptr && saved->keep < 1.0F;
+  const std::uint64_t threshold = drop ? dropout_threshold(saved->keep) : 0;
+  const float inv_keep = drop ? 1.0F / saved->keep : 1.0F;
+  const std::int64_t blocks = (lq + R - 1) / R;
   parallel_for(
       static_cast<std::size_t>(tasks),
       [&](std::size_t t) {
-        const auto b = static_cast<std::int64_t>(t) / heads;
-        const auto h = static_cast<std::int64_t>(t) % heads;
-        // This head's K and V as [dh, lkp] panels; per row block, the
-        // scaled queries qt[d] and the scores, turned exponentials in
-        // place, et[j].
+        const auto task = static_cast<std::int64_t>(t);
+        const std::int64_t b = task / heads;
+        const std::int64_t h = task % heads;
+        // This head's K and V panels; per row block, the scaled queries
+        // qt[d] and the scores, turned exponentials in place, et[j].
         const auto kv_need = static_cast<std::size_t>(2 * dh * lkp);
         const auto vecs_need = static_cast<std::size_t>(dh + lkp);
         if (tl_sdpa_kv.size() < kv_need) tl_sdpa_kv.resize(kv_need);
@@ -508,41 +676,14 @@ void fused_sdpa_impl(const float* q, const float* k, const float* v,
         RowVec* qt = tl_sdpa_vecs.data();
         RowVec* et = qt + dh;
         const float* qb = q + b * lq * dim + h * dh;
-        const float* kb = k + b * lk * dim + h * dh;
-        const float* vb = v + b * lk * dim + h * dh;
         float* ob = out + b * lq * dim + h * dh;
-        for (std::int64_t d = 0; d < dh; ++d) {
-          for (std::int64_t j = 0; j < lkp; ++j) {
-            kt[d * lkp + j] = j < lk ? kb[j * dim + d] : 0.0F;
-            vt[d * lkp + j] = j < lk ? vb[j * dim + d] : 0.0F;
-          }
-        }
+        pack_kv(k + b * lk * dim + h * dh, v + b * lk * dim + h * dh, lk, lkp,
+                dh, dim, kt, vt);
         for (std::int64_t i0 = 0; i0 < lq; i0 += R) {
           const std::int64_t rows = std::min(R, lq - i0);
-          // Padding rows get zero queries, so their lanes stay finite; they
-          // are never written out, and no lane reads another.
-          for (std::int64_t d = 0; d < dh; ++d) {
-            for (std::int64_t r = 0; r < R; ++r) {
-              qt[d][r] = r < rows ? qb[(i0 + r) * dim + d] * scale : 0.0F;
-            }
-          }
-          // Scores s_j = (q_0 scale) k_j0 + ... + (q_dh-1 scale) k_j,dh-1,
-          // left to right, for P keys at a time; then + mask.
-          for (std::int64_t j0 = 0; j0 < lkp; j0 += P) {
-            RowVec s[P];
-            for (std::int64_t p = 0; p < P; ++p) s[p] = qt[0] * kt[j0 + p];
-            for (std::int64_t d = 1; d < dh; ++d) {
-              const float* kd = kt + d * lkp + j0;
-              for (std::int64_t p = 0; p < P; ++p) s[p] += qt[d] * kd[p];
-            }
-            for (std::int64_t p = 0; p < P; ++p) et[j0 + p] = s[p];
-          }
-          if (mask) {
-            for (std::int64_t r = 0; r < rows; ++r) {
-              const float* mrow = mask + (i0 + r) * lk;
-              for (std::int64_t j = 0; j < lk; ++j) et[j][r] += mrow[j];
-            }
-          }
+          load_rows(qb + i0 * dim, rows, dh, dim, scale, qt);
+          block_scores(qt, kt, dh, lkp, mask ? mask + i0 * lk : nullptr, rows,
+                       lk, et);
           // Row max over the real keys, exact in any order: four running
           // maxima, then folded.
           const float inf = std::numeric_limits<float>::infinity();
@@ -560,39 +701,32 @@ void fused_sdpa_impl(const float* q, const float* k, const float* v,
           m[0] = m[0] < m[2] ? m[2] : m[0];
           float mx[R];
           std::memcpy(mx, &m[0], sizeof mx);
-          // Exponentials in place. This file is compiled with glibc's simd
-          // declaration for expf enabled (src/nn/CMakeLists.txt), so the
-          // call is the vectorized libmvec kernel; expf(-inf) = 0 handles
-          // masked keys exactly like the reference softmax.
-          for (j = 0; j < lk; ++j) {
-            float e[R];
-            std::memcpy(e, &et[j], sizeof e);
-#pragma omp simd
-            for (std::int64_t r = 0; r < R; ++r) e[r] = ::expf(e[r] - mx[r]);
-            std::memcpy(&et[j], e, sizeof e);
-          }
-          std::fill(et + lk, et + lkp, RowVec{});
-          // The denominator and each context element are sums over keys,
-          // taken as P partials: partial p adds e_j (times v_jd) for the
-          // keys j = p (mod P) in key order, and the sum is
-          // ((0 + p_0) + p_1) + ... + p_P-1. The sum is an out parameter:
-          // returning a RowVec changes the ABI on builds without AVX-512.
-          const auto key_sum = [&](const float* w, RowVec& sum) {
-            RowVec part[P] = {};
-            for (std::int64_t j0 = 0; j0 < lkp; j0 += P) {
-              for (std::int64_t p = 0; p < P; ++p) {
-                part[p] += w ? et[j0 + p] * w[j0 + p] : et[j0 + p];
-              }
-            }
-            sum = RowVec{};
-            for (std::int64_t p = 0; p < P; ++p) sum += part[p];
-          };
+          block_exp(et, lk, lkp, mx);
           RowVec inv;
-          key_sum(nullptr, inv);
+          key_sum<float>(et, nullptr, lkp, inv);
           inv = 1.0F / inv;
+          if (saved != nullptr) {
+            const std::int64_t row0 = task * lq + i0;
+            for (std::int64_t r = 0; r < rows; ++r) {
+              saved->row_max[static_cast<std::size_t>(row0 + r)] = mx[r];
+              saved->row_inv[static_cast<std::size_t>(row0 + r)] = inv[r];
+            }
+            if (drop) {
+              LaneU64 first;
+              for (std::int64_t r = 0; r < R; ++r) {
+                first[r] = static_cast<std::uint64_t>((row0 + r) * lk);
+              }
+              block_dropout(key, threshold, first, rows, lk,
+                            saved->keep_bits.data() +
+                                (task * blocks + i0 / R) * lk,
+                            et);
+              inv *= inv_keep;
+            }
+          }
+          // Context element d: Σ_j e_j v_jd in key_sum's order, times 1/sum.
           for (std::int64_t d = 0; d < dh; ++d) {
             RowVec ctx;
-            key_sum(vt + d * lkp, ctx);
+            key_sum(et, vt + d * lkp, lkp, ctx);
             ctx *= inv;
             for (std::int64_t r = 0; r < rows; ++r) {
               ob[(i0 + r) * dim + d] = ctx[r];
@@ -600,7 +734,138 @@ void fused_sdpa_impl(const float* q, const float* k, const float* v,
           }
         }
       },
-      grain);
+      // ~4 flops per (i, j, d) triple: QK^T dot plus the PV accumulation.
+      sdpa_grain(tasks, 4 * lq * lk * dh));
+}
+
+/// Backward of fused_sdpa_impl's training forward (DESIGN.md §7). Per row
+/// block it recomputes p_j = e_j / sum from the saved max and 1/sum, then
+///   dP~_j = Σ_d g_d v_jd            (g = dout; d order, P keys at a time)
+///   dP_j  = dP~_j m_j               (m_j = kept ? 1 / keep : 0)
+///   delta = Σ_j p_j dP_j            (key partials)
+///   dS_j  = p_j (dP_j - delta)
+///   dQ_d  = (Σ_j dS_j k_jd) scale   (key partials)
+/// and adds row-lane partials dV_jd += (p_j m_j) g_d and
+/// dK_jd += dS_j (q_d scale). Lane r of a partial collects the rows
+/// i = r (mod 16) in row order; dK and dV fold the 16 lanes
+/// ((0 + l_0) + l_1) + ... + l_15 after the last block.
+void fused_sdpa_backward_impl(const float* q, const float* k, const float* v,
+                              const float* dout, std::int64_t batch,
+                              std::int64_t lq, std::int64_t lk,
+                              std::int64_t heads, std::int64_t dim,
+                              float scale, const float* mask,
+                              const SdpaSaved& saved, float* dq, float* dk,
+                              float* dv) {
+  constexpr std::int64_t R = kSdpaRows;
+  constexpr std::int64_t P = kSdpaParts;
+  const std::int64_t dh = dim / heads;
+  const std::int64_t lkp = (lk + P - 1) / P * P;
+  const std::int64_t tasks = batch * heads;
+  const bool drop = !saved.keep_bits.empty();
+  const float inv_keep = drop ? 1.0F / saved.keep : 1.0F;
+  const std::int64_t blocks = (lq + R - 1) / R;
+  parallel_for(
+      static_cast<std::size_t>(tasks),
+      [&](std::size_t t) {
+        const auto task = static_cast<std::int64_t>(t);
+        const std::int64_t b = task / heads;
+        const std::int64_t h = task % heads;
+        // Per row block: scaled queries qt[d], output grads gt[d],
+        // probabilities pt[j], dropout multipliers (then p_j m_j) mt[j],
+        // and dP turned dS in place, st[j]. Across blocks: the dK and dV
+        // lane partials, [dh, lkp] each.
+        const auto kv_need = static_cast<std::size_t>(2 * dh * lkp);
+        const auto vecs_need =
+            static_cast<std::size_t>(2 * dh + 3 * lkp + 2 * dh * lkp);
+        if (tl_sdpa_kv.size() < kv_need) tl_sdpa_kv.resize(kv_need);
+        if (tl_sdpa_vecs.size() < vecs_need) tl_sdpa_vecs.resize(vecs_need);
+        float* kt = tl_sdpa_kv.data();
+        float* vt = kt + dh * lkp;
+        RowVec* qt = tl_sdpa_vecs.data();
+        RowVec* gt = qt + dh;
+        RowVec* pt = gt + dh;
+        RowVec* mt = pt + lkp;
+        RowVec* st = mt + lkp;
+        RowVec* acc_dk = st + lkp;
+        RowVec* acc_dv = acc_dk + dh * lkp;
+        std::fill(acc_dk, acc_dk + 2 * dh * lkp, RowVec{});
+        const std::int64_t col = h * dh;
+        pack_kv(k + b * lk * dim + col, v + b * lk * dim + col, lk, lkp, dh,
+                dim, kt, vt);
+        for (std::int64_t i0 = 0; i0 < lq; i0 += R) {
+          const std::int64_t rows = std::min(R, lq - i0);
+          const std::int64_t row0 = task * lq + i0;
+          load_rows(q + (b * lq + i0) * dim + col, rows, dh, dim, scale, qt);
+          load_rows(dout + (b * lq + i0) * dim + col, rows, dh, dim, 1.0F, gt);
+          block_scores(qt, kt, dh, lkp, mask ? mask + i0 * lk : nullptr, rows,
+                       lk, pt);
+          // Padding rows get max 0 and 1/sum 0, so their p lanes are zero.
+          float mx[R] = {};
+          RowVec inv{};
+          for (std::int64_t r = 0; r < rows; ++r) {
+            mx[r] = saved.row_max[static_cast<std::size_t>(row0 + r)];
+            inv[r] = saved.row_inv[static_cast<std::size_t>(row0 + r)];
+          }
+          block_exp(pt, lk, lkp, mx);
+          for (std::int64_t j = 0; j < lkp; ++j) pt[j] *= inv;
+          if (drop) {
+            block_dropout_multipliers(
+                saved.keep_bits.data() + (task * blocks + i0 / R) * lk,
+                inv_keep, lk, lkp, mt);
+          }
+          for (std::int64_t j0 = 0; j0 < lkp; j0 += P) {
+            RowVec s[P];
+            for (std::int64_t p = 0; p < P; ++p) s[p] = gt[0] * vt[j0 + p];
+            for (std::int64_t d = 1; d < dh; ++d) {
+              const float* vd = vt + d * lkp + j0;
+              for (std::int64_t p = 0; p < P; ++p) s[p] += gt[d] * vd[p];
+            }
+            for (std::int64_t p = 0; p < P; ++p) {
+              st[j0 + p] = drop ? s[p] * mt[j0 + p] : s[p];
+            }
+          }
+          const RowVec* pd = pt;  // the dropped probabilities p_j m_j
+          if (drop) {
+            for (std::int64_t j = 0; j < lkp; ++j) mt[j] *= pt[j];
+            pd = mt;
+          }
+          for (std::int64_t d = 0; d < dh; ++d) {
+            RowVec* acc = acc_dv + d * lkp;
+            for (std::int64_t j = 0; j < lkp; ++j) acc[j] += pd[j] * gt[d];
+          }
+          RowVec delta;
+          key_sum(pt, st, lkp, delta);
+          for (std::int64_t j = 0; j < lkp; ++j) {
+            st[j] = pt[j] * (st[j] - delta);
+          }
+          for (std::int64_t d = 0; d < dh; ++d) {
+            RowVec* acc = acc_dk + d * lkp;
+            for (std::int64_t j = 0; j < lkp; ++j) acc[j] += st[j] * qt[d];
+          }
+          for (std::int64_t d = 0; d < dh; ++d) {
+            RowVec g;
+            key_sum(st, kt + d * lkp, lkp, g);
+            g *= scale;
+            for (std::int64_t r = 0; r < rows; ++r) {
+              dq[(b * lq + i0 + r) * dim + col + d] = g[r];
+            }
+          }
+        }
+        for (std::int64_t j = 0; j < lk; ++j) {
+          for (std::int64_t d = 0; d < dh; ++d) {
+            float sk = 0.0F;
+            float sv = 0.0F;
+            for (std::int64_t r = 0; r < R; ++r) {
+              sk += acc_dk[d * lkp + j][r];
+              sv += acc_dv[d * lkp + j][r];
+            }
+            dk[(b * lk + j) * dim + col + d] = sk;
+            dv[(b * lk + j) * dim + col + d] = sv;
+          }
+        }
+      },
+      // ~10 flops per (i, j, d): scores, dP, dV, dK and dQ.
+      sdpa_grain(tasks, 10 * lq * lk * dh));
 }
 
 }  // namespace
@@ -609,15 +874,41 @@ void fused_sdpa(const float* q, const float* k, const float* v, float* out,
                 std::int64_t batch, std::int64_t lq, std::int64_t lk,
                 std::int64_t heads, std::int64_t dim, float scale,
                 const float* mask) {
-  if (!obs::enabled()) {
-    fused_sdpa_impl(q, k, v, out, batch, lq, lk, heads, dim, scale, mask);
-    return;
-  }
-  const auto start = std::chrono::steady_clock::now();
-  fused_sdpa_impl(q, k, v, out, batch, lq, lk, heads, dim, scale, mask);
-  sdpa_hist().observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count());
+  timed(sdpa_hist, [&] {
+    fused_sdpa_impl(q, k, v, out, batch, lq, lk, heads, dim, scale, mask,
+                    nullptr, 0);
+  });
+}
+
+void fused_sdpa_train(const float* q, const float* k, const float* v,
+                      float* out, std::int64_t batch, std::int64_t lq,
+                      std::int64_t lk, std::int64_t heads, std::int64_t dim,
+                      float scale, const float* mask, float keep,
+                      std::uint64_t key, SdpaSaved& saved) {
+  const auto rows = static_cast<std::size_t>(batch * heads * lq);
+  saved.keep = keep;
+  saved.row_max.assign(rows, 0.0F);
+  saved.row_inv.assign(rows, 0.0F);
+  const std::int64_t blocks = (lq + kSdpaRows - 1) / kSdpaRows;
+  saved.keep_bits.assign(
+      keep < 1.0F ? static_cast<std::size_t>(batch * heads * blocks * lk) : 0,
+      0);
+  timed(sdpa_hist, [&] {
+    fused_sdpa_impl(q, k, v, out, batch, lq, lk, heads, dim, scale, mask,
+                    &saved, key);
+  });
+}
+
+void fused_sdpa_backward(const float* q, const float* k, const float* v,
+                         const float* dout, std::int64_t batch,
+                         std::int64_t lq, std::int64_t lk, std::int64_t heads,
+                         std::int64_t dim, float scale, const float* mask,
+                         const SdpaSaved& saved, float* dq, float* dk,
+                         float* dv) {
+  timed(sdpa_backward_hist, [&] {
+    fused_sdpa_backward_impl(q, k, v, dout, batch, lq, lk, heads, dim, scale,
+                             mask, saved, dq, dk, dv);
+  });
 }
 
 void gemm_f16w(const float* A, const std::uint16_t* B, float* C,

@@ -1,8 +1,8 @@
 #pragma once
 // Hand-optimized float kernels for the hot paths of the surrogate model:
 // a cache-blocked, register-tiled GEMM (used by every matmul forward and
-// backward) and a fused scaled-dot-product attention that never
-// materializes the [B, H, Lq, Lk] score tensor.
+// backward) and a fused scaled-dot-product attention, forward and
+// backward, that never materializes the [B, H, Lq, Lk] score tensor.
 //
 // Determinism contract: for a fixed input, every kernel produces
 // bit-identical output regardless of the number of OpenMP threads. This
@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 namespace deepbat::nn::kernels {
 
@@ -57,6 +58,83 @@ void fused_sdpa(const float* q, const float* k, const float* v, float* out,
                 std::int64_t batch, std::int64_t lq, std::int64_t lk,
                 std::int64_t heads, std::int64_t dim, float scale,
                 const float* mask = nullptr);
+
+// --- dropout keep-mask (DESIGN.md §7) ---
+//
+// One definition, shared by nn::dropout and the fused attention kernel.
+// Each call draws one key from its module's stream; element i of the
+// masked tensor is kept iff
+//   (splitmix64(key + i * kDropoutStride) >> 11) < keep * 2^53,
+// a pure function of (key, i): it vectorizes, unlike one sequential draw
+// per element, and any element's fate follows from the key alone.
+
+inline constexpr std::uint64_t kDropoutStride = 0x9E3779B97F4A7C15ULL;
+
+/// The SplitMix64 output function (Steele et al.), without the increment.
+/// U is std::uint64_t or a GCC vector of them.
+template <typename U>
+inline U splitmix64(const U& x) {
+  U z = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+/// keep * 2^53, the integer bound of the 53-bit draws (exact for any float
+/// keep in (0, 1]).
+inline std::uint64_t dropout_threshold(float keep) {
+  return static_cast<std::uint64_t>(static_cast<double>(keep) * 0x1.0p53);
+}
+
+/// 1 if the element with counter z = key + i * kDropoutStride survives,
+/// else 0. U is std::uint64_t or a GCC vector of counters, for callers that
+/// test many elements at once. The draw and the bound are both below 2^54,
+/// so the borrow of draw - threshold, bit 63, is exactly draw < threshold,
+/// in a form that vectorizes.
+template <typename U>
+inline U dropout_keep_bit(const U& z, std::uint64_t threshold) {
+  return ((splitmix64(z) >> 11) - threshold) >> 63;
+}
+
+inline bool dropout_keep(std::uint64_t key, std::uint64_t i,
+                         std::uint64_t threshold) {
+  return dropout_keep_bit(key + i * kDropoutStride, threshold) != 0;
+}
+
+/// What the training forward of fused attention keeps for backward, per
+/// (batch, head, query row) in [B, H, Lq] order: the score maximum and the
+/// reciprocal of the softmax denominator. With dropout on, also the keep
+/// bits of the [B, H, Lq, Lk] probabilities, packed the way the kernel
+/// walks them: one 16-bit word per (batch, head, block of 16 query rows,
+/// key), [B, H, ceil(Lq / 16), Lk] order, bit r for query row 16 * block + r.
+struct SdpaSaved {
+  std::vector<float> row_max;
+  std::vector<float> row_inv;
+  std::vector<std::uint16_t> keep_bits;  // empty when dropout is off
+  float keep = 1.0F;                     // keep probability, 1 - p
+};
+
+/// Training forward of fused attention: fused_sdpa's output, with dropout
+/// applied to the normalized probabilities when keep < 1 (mask from
+/// dropout_keep(key, ((b * heads + h) * lq + i) * lk + j), survivors scaled
+/// by 1 / keep). Fills `saved` for fused_sdpa_backward. Without dropout the
+/// output has the bits of fused_sdpa.
+void fused_sdpa_train(const float* q, const float* k, const float* v,
+                      float* out, std::int64_t batch, std::int64_t lq,
+                      std::int64_t lk, std::int64_t heads, std::int64_t dim,
+                      float scale, const float* mask, float keep,
+                      std::uint64_t key, SdpaSaved& saved);
+
+/// Gradients of fused_sdpa_train with respect to q, k and v, written (not
+/// accumulated) into dq [B, lq, dim], dk and dv [B, lk, dim]. The
+/// probabilities are recomputed block by block from `saved`, so no
+/// [B, H, Lq, Lk] tensor is allocated; each (batch, head) is one task and
+/// the summation order (DESIGN.md §7) does not depend on the thread count.
+void fused_sdpa_backward(const float* q, const float* k, const float* v,
+                         const float* dout, std::int64_t batch,
+                         std::int64_t lq, std::int64_t lk, std::int64_t heads,
+                         std::int64_t dim, float scale, const float* mask,
+                         const SdpaSaved& saved, float* dq, float* dk,
+                         float* dv);
 
 /// C[m,n] (+)= A[m,k] * dequant(B), with B stored as IEEE-754 binary16 in
 /// [k,n] row-major order. The weight panel is expanded to fp32 in a
@@ -138,8 +216,8 @@ inline constexpr std::int64_t kRowBlock = 64;  // rows per parallel task unit
 /// Minimum flops a parallel task should amortize; grains are derived from
 /// this so tiny GEMMs never pay the fork/join overhead.
 inline constexpr std::int64_t kMinFlopsPerTask = 1 << 16;
-/// GEMMs below this many total flops run serially even when OpenMP threads
-/// are available: at these sizes the fork/join barrier costs more than the
+/// GEMMs and fused-attention calls below this many total flops run serially
+/// even when OpenMP threads are available: at these sizes the fork/join barrier costs more than the
 /// math, which is exactly how 2-thread runs used to LOSE to 1-thread on the
 /// tall-skinny shapes (m256_k256_n4 and friends). Serial execution makes
 /// thread count irrelevant for them, and per-element results were

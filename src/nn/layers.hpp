@@ -49,6 +49,8 @@ class LayerNorm : public Module {
 /// Inverted dropout; identity in eval mode and under NoGradGuard (inference
 /// never masks, so the const forward path is deterministic). Owns its RNG
 /// stream so repeated training runs with the same seed are bit-reproducible.
+/// Each masking call takes exactly one key from the stream; the mask is
+/// kernels::dropout_keep of that key (DESIGN.md §7).
 class Dropout : public Module {
  public:
   Dropout(float p, std::uint64_t seed);
@@ -56,9 +58,14 @@ class Dropout : public Module {
   Var forward(const Var& x) const;
 
   /// True when forward() actually masks (training mode, gradients enabled,
-  /// and p > 0); fused kernels must fall back to the composed path in that
-  /// case.
+  /// and p > 0).
   bool is_active() const { return p_ > 0.0F && training() && grad_enabled(); }
+
+  float p() const { return p_; }
+
+  /// Takes the next mask key from the stream, for a fused kernel that
+  /// masks in place of forward().
+  std::uint64_t draw_key() const { return rng_.next_u64(); }
 
  private:
   float p_;

@@ -524,12 +524,17 @@ Var dropout(const Var& a, float p, bool training, Rng& rng) {
   auto mask = std::make_shared<Tensor>(av.shape());
   const float keep = 1.0F - p;
   const float inv_keep = 1.0F / keep;
+  // One key per call; element i's fate is a pure function of (key, i).
+  const std::uint64_t key = rng.next_u64();
+  const std::uint64_t threshold = kernels::dropout_threshold(keep);
   float* mp = mask->data();
   const float* ap = av.data();
   Tensor out(av.shape());
   float* op = out.data();
   for (std::int64_t i = 0; i < av.numel(); ++i) {
-    mp[i] = rng.uniform() < keep ? inv_keep : 0.0F;
+    mp[i] = kernels::dropout_keep(key, static_cast<std::uint64_t>(i), threshold)
+                ? inv_keep
+                : 0.0F;
     op[i] = ap[i] * mp[i];
   }
   return make_node(

@@ -60,7 +60,9 @@ Var softmax_last(const Var& a);
 Var layer_norm(const Var& x, const Var& gamma, const Var& beta,
                float eps = 1e-5F);
 
-/// Inverted dropout. Identity when `training` is false or p == 0.
+/// Inverted dropout. Identity when `training` is false or p == 0;
+/// otherwise takes one key from `rng` and keeps element i (flat index) iff
+/// kernels::dropout_keep(key, i, ...), scaling survivors by 1 / (1 - p).
 Var dropout(const Var& a, float p, bool training, Rng& rng);
 
 // ---- shape ops ----------------------------------------------------------

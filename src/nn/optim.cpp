@@ -3,8 +3,23 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "nn/arena.hpp"
 
 namespace deepbat::nn {
+
+namespace {
+
+/// Zero state tensors shaped like `params`, on the heap whatever arena
+/// scope the caller is in.
+std::vector<Tensor> zeros_like(const std::vector<Var>& params) {
+  arena::Pause heap_alloc;
+  std::vector<Tensor> out;
+  out.reserve(params.size());
+  for (const auto& p : params) out.push_back(Tensor::zeros(p->value.shape()));
+  return out;
+}
+
+}  // namespace
 
 Optimizer::Optimizer(std::vector<Var> params) : params_(std::move(params)) {
   for (const auto& p : params_) {
@@ -36,15 +51,16 @@ double Optimizer::clip_grad_norm(double max_norm) {
 }
 
 Sgd::Sgd(std::vector<Var> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {}
+    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
+  if (momentum_ > 0.0F) velocity_ = zeros_like(params_);
+}
 
 void Sgd::step() {
-  for (const auto& p : params_) {
+  for (std::size_t i = 0; i < params_.size(); ++i) {
+    const Var& p = params_[i];
     if (!p->has_grad) continue;
     if (momentum_ > 0.0F) {
-      auto [it, inserted] = velocity_.try_emplace(p.get(),
-                                                  Tensor::zeros(p->value.shape()));
-      Tensor& vel = it->second;
+      Tensor& vel = velocity_[i];
       vel.scale_inplace(momentum_);
       vel.add_inplace(p->grad);
       p->value.add_inplace(vel, -lr_);
@@ -61,19 +77,20 @@ Adam::Adam(std::vector<Var> params, float lr, float beta1, float beta2,
       beta1_(beta1),
       beta2_(beta2),
       eps_(eps),
-      weight_decay_(weight_decay) {}
+      weight_decay_(weight_decay),
+      m_(zeros_like(params_)),
+      v_(zeros_like(params_)) {}
 
 void Adam::step() {
   ++t_;
   const auto t = static_cast<float>(t_);
   const float bias1 = 1.0F - std::pow(beta1_, t);
   const float bias2 = 1.0F - std::pow(beta2_, t);
-  for (const auto& p : params_) {
+  for (std::size_t pi = 0; pi < params_.size(); ++pi) {
+    const Var& p = params_[pi];
     if (!p->has_grad) continue;
-    auto [mit, m_new] = m_.try_emplace(p.get(), Tensor::zeros(p->value.shape()));
-    auto [vit, v_new] = v_.try_emplace(p.get(), Tensor::zeros(p->value.shape()));
-    float* m = mit->second.data();
-    float* v = vit->second.data();
+    float* m = m_[pi].data();
+    float* v = v_[pi].data();
     float* w = p->value.data();
     const float* g = p->grad.data();
     const std::int64_t n = p->value.numel();

@@ -1,10 +1,9 @@
 #pragma once
 // First-order optimizers. Both operate on the parameter Vars returned by
-// Module::parameters(); optimizer state is keyed by node identity so the
-// same optimizer instance can be reused across training and fine-tuning
-// phases (as DeepBAT's fine-tuning does).
+// Module::parameters(). Their state (one tensor per parameter, aligned with
+// params()) is allocated on the heap in the constructor, so a step taken
+// inside an arena::Scope never leaves it in rewound arena memory.
 
-#include <unordered_map>
 #include <vector>
 
 #include "nn/autograd.hpp"
@@ -44,7 +43,7 @@ class Sgd : public Optimizer {
  private:
   float lr_;
   float momentum_;
-  std::unordered_map<Node*, Tensor> velocity_;
+  std::vector<Tensor> velocity_;  // empty without momentum
 };
 
 /// Adam (Kingma & Ba) — the paper trains with Adam, lr = 1e-3.
@@ -66,8 +65,8 @@ class Adam : public Optimizer {
   float eps_;
   float weight_decay_;
   std::int64_t t_ = 0;
-  std::unordered_map<Node*, Tensor> m_;
-  std::unordered_map<Node*, Tensor> v_;
+  std::vector<Tensor> m_;
+  std::vector<Tensor> v_;
 };
 
 }  // namespace deepbat::nn

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "common/cli.hpp"
@@ -70,6 +71,29 @@ TEST(Cli, CheckKnownCatchesTypos) {
   const char* argv2[] = {"prog", "--seed=1"};
   CliFlags flags2(2, argv2);
   EXPECT_NO_THROW(flags2.check_known({"seed"}));
+}
+
+TEST(Cli, ParsePositiveIntAcceptsOnlyWholePositiveTokens) {
+  struct Case {
+    const char* text;
+    std::int64_t want;  // 0: must throw
+  };
+  const Case cases[] = {
+      {"1", 1},   {"24", 24}, {"0800", 800}, {"9223372036854775807", INT64_MAX},
+      {"", 0},    {"0", 0},   {"-3", 0},     {"+3", 0},
+      {" 3", 0},  {"3 ", 0},  {"3x", 0},     {"x3", 0},
+      {"2.5", 0}, {"1e3", 0}, {"0x10", 0},   {"9223372036854775808", 0},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.text);
+    if (c.want == 0) {
+      EXPECT_THROW(parse_positive_int(c.text, "knob"), Error);
+    } else {
+      EXPECT_EQ(parse_positive_int(c.text, "knob"), c.want);
+    }
+  }
+  EXPECT_EQ(parse_positive_int("100", "knob", 100), 100);
+  EXPECT_THROW(parse_positive_int("101", "knob", 100), Error);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <string>
 
 #include "common/error.hpp"
 #include "core/pretrained.hpp"
@@ -181,6 +183,45 @@ TEST(Pretrained, TrainsThenLoadsFromCache) {
                     static_cast<float>(pb[i].p95()));
   }
   std::filesystem::remove(spec.cache_path);
+}
+
+TEST(Pretrained, BenchSpecRejectsMalformedTrainingKnobs) {
+  // The environment overrides of the bench recipe accept only whole
+  // positive integers; anything else is an error, not a silent 0 or prefix.
+  struct Case {
+    const char* epochs;
+    const char* samples;
+    bool ok;
+  };
+  const Case cases[] = {
+      {"3", "50", true},          {"0", nullptr, false},
+      {"-1", nullptr, false},     {"12x", nullptr, false},
+      {"", nullptr, false},       {"2147483648", nullptr, false},
+      {nullptr, "0", false},      {nullptr, "1e3", false},
+      {nullptr, " 5", false},     {nullptr, "abc", false},
+  };
+  const auto set = [](const char* name, const char* value) {
+    if (value != nullptr) {
+      setenv(name, value, 1);
+    } else {
+      unsetenv(name);
+    }
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string("epochs=") + (c.epochs ? c.epochs : "unset") +
+                 " samples=" + (c.samples ? c.samples : "unset"));
+    set("DEEPBAT_TRAIN_EPOCHS", c.epochs);
+    set("DEEPBAT_TRAIN_SAMPLES", c.samples);
+    if (c.ok) {
+      const PretrainSpec spec = bench_spec("cache");
+      EXPECT_EQ(spec.train.epochs, 3);
+      EXPECT_EQ(spec.dataset.samples, 50u);
+    } else {
+      EXPECT_THROW(bench_spec("cache"), Error);
+    }
+  }
+  unsetenv("DEEPBAT_TRAIN_EPOCHS");
+  unsetenv("DEEPBAT_TRAIN_SAMPLES");
 }
 
 }  // namespace

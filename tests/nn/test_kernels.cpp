@@ -1,20 +1,27 @@
 // Golden-value and determinism tests for the optimized kernel layer
 // (src/nn/kernels) plus the arena allocator it feeds. The naive seed
-// kernels are the ground truth: the optimized paths must match them within
-// 1e-4 relative tolerance and be bit-identical across thread counts.
+// kernels and the composed attention graph are the ground truth: the
+// optimized paths, the fused attention backward included, must match them
+// within 1e-4 relative tolerance and be bit-identical across thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/surrogate.hpp"
+#include "gradcheck.hpp"
 #include "nn/arena.hpp"
 #include "nn/attention.hpp"
 #include "nn/autograd.hpp"
 #include "nn/kernels.hpp"
+#include "nn/layers.hpp"
+#include "nn/ops.hpp"
 #include "nn/tensor.hpp"
 
 #ifdef _OPENMP
@@ -80,7 +87,7 @@ TEST(Kernels, GemmMatchesNaiveAcrossShapes) {
                               s.n, trans_a, trans_b, accumulate);
           kernels::gemm(a.data(), b.data(), c_opt.data(), s.m, s.k, s.n,
                         trans_a, trans_b, accumulate);
-          SCOPED_TRACE(testing::Message()
+          SCOPED_TRACE(::testing::Message()
                        << "m=" << s.m << " k=" << s.k << " n=" << s.n
                        << " tA=" << trans_a << " tB=" << trans_b
                        << " acc=" << accumulate);
@@ -262,7 +269,7 @@ TEST(Kernels, FusedSdpaMatchesReference) {
     kernels::fused_sdpa(q.data(), k.data(), v.data(), out_fused.data(),
                         c.batch, c.lq, c.lk, c.heads, c.dim, scale,
                         c.masked ? mask.data() : nullptr);
-    SCOPED_TRACE(testing::Message() << "B=" << c.batch << " lq=" << c.lq
+    SCOPED_TRACE(::testing::Message() << "B=" << c.batch << " lq=" << c.lq
                                     << " lk=" << c.lk << " H=" << c.heads
                                     << " masked=" << c.masked);
     expect_allclose(out_ref.data(), out_fused.data(),
@@ -278,7 +285,7 @@ TEST(Kernels, FusedSdpaRowsAreIndependent) {
   for (const std::int64_t lk : {16, 37}) {
     for (const std::int64_t lq : {1, 15, 16, 17, 40}) {
       for (const bool masked : {false, true}) {
-        SCOPED_TRACE(testing::Message()
+        SCOPED_TRACE(::testing::Message()
                      << "lq=" << lq << " lk=" << lk << " masked=" << masked);
         const auto q = random_vec(B * lq * D, 51);
         const auto k = random_vec(B * lk * D, 52);
@@ -353,6 +360,249 @@ TEST(Kernels, FusedAttentionMatchesComposedPathWithMask) {
 }
 
 // ---------------------------------------------------------------------------
+// Fused attention training step (forward + recompute backward)
+// ---------------------------------------------------------------------------
+
+/// -inf where key j > query i * lk / lq, so every row keeps key 0 and
+/// masked and unmasked keys mix for any (lq, lk).
+Tensor staircase_mask(std::int64_t lq, std::int64_t lk) {
+  Tensor mask({lq, lk});
+  for (std::int64_t i = 0; i < lq; ++i) {
+    for (std::int64_t j = 0; j < lk; ++j) {
+      if (j * lq > i * lk) {
+        mask.at(i, j) = -std::numeric_limits<float>::infinity();
+      }
+    }
+  }
+  return mask;
+}
+
+/// True if a node named `op` is reachable from `root`.
+bool graph_has_op(const Var& root, const std::string& op) {
+  std::vector<const Node*> stack{root.get()};
+  std::vector<const Node*> seen;
+  while (!stack.empty()) {
+    const Node* n = stack.back();
+    stack.pop_back();
+    if (std::find(seen.begin(), seen.end(), n) != seen.end()) continue;
+    seen.push_back(n);
+    if (n->op_name == op) return true;
+    for (const auto& p : n->parents) stack.push_back(p.get());
+  }
+  return false;
+}
+
+struct TrainCase {
+  std::int64_t lq, lk;
+  bool masked;
+};
+
+// Lq != Lk with L in {1, 17, 128}, masked and unmasked.
+const TrainCase kTrainCases[] = {{1, 17, false},   {17, 1, false},
+                                 {17, 128, false}, {128, 17, false},
+                                 {17, 128, true},  {128, 17, true}};
+
+TEST(Kernels, FusedTrainGradcheck) {
+  // Central differences against the fused backward, through the query,
+  // key and value inputs of a training-mode MHA at p = 0.
+  for (const auto& c : kTrainCases) {
+    SCOPED_TRACE(::testing::Message() << "lq=" << c.lq << " lk=" << c.lk
+                                    << " masked=" << c.masked);
+    Rng rng(61);
+    MultiHeadAttention mha(16, 4, rng, 0.0F, 5);
+    mha.set_training(true);
+    const Tensor weights = Tensor::randn({1, c.lq, 16}, rng, 1.0F);
+    const Var mask =
+        c.masked ? make_leaf(staircase_mask(c.lq, c.lk), false) : nullptr;
+    bool fused = false;
+    testing::expect_gradients_match(
+        {Tensor::randn({1, c.lq, 16}, rng, 0.5F),
+         Tensor::randn({1, c.lk, 16}, rng, 0.5F),
+         Tensor::randn({1, c.lk, 16}, rng, 0.5F)},
+        [&](const std::vector<Var>& in) {
+          const Var out = mha.forward(in[0], in[1], in[2], mask);
+          fused = fused || graph_has_op(out, "fused_sdpa");
+          return sum_all(mul(out, make_leaf(weights.clone(), false)));
+        });
+    EXPECT_TRUE(fused) << "training forward did not take the fused kernel";
+  }
+}
+
+/// Output and every gradient (inputs and parameters) of one training step,
+/// by name.
+std::vector<std::pair<std::string, Tensor>> mha_train_step(const TrainCase& c,
+                                                           float p) {
+  Rng rng(62);
+  MultiHeadAttention mha(16, 4, rng, p, 17);
+  mha.set_training(true);
+  const Var q = make_leaf(Tensor::randn({2, c.lq, 16}, rng, 0.5F), true);
+  const Var kv = make_leaf(Tensor::randn({2, c.lk, 16}, rng, 0.5F), true);
+  const Tensor weights = Tensor::randn({2, c.lq, 16}, rng, 1.0F);
+  const Var mask =
+      c.masked ? make_leaf(staircase_mask(c.lq, c.lk), false) : nullptr;
+  const Var out = mha.forward(q, kv, kv, mask);
+  backward(sum_all(mul(out, make_leaf(weights.clone(), false))));
+  std::vector<std::pair<std::string, Tensor>> result{
+      {"out", out->value.clone()},
+      {"query.grad", q->grad.clone()},
+      {"key_value.grad", kv->grad.clone()}};
+  for (const auto& [name, param] : mha.named_parameters()) {
+    result.emplace_back(name + ".grad", param->grad.clone());
+  }
+  return result;
+}
+
+TEST(Kernels, FusedTrainMatchesReference) {
+  // The composed path draws the same dropout mask (one key per call, the
+  // flat [B, H, Lq, Lk] index), so with dropout on the two must still agree.
+  ModeGuard guard;
+  for (const auto& c : kTrainCases) {
+    for (const float p : {0.0F, 0.3F}) {
+      SCOPED_TRACE(::testing::Message() << "lq=" << c.lq << " lk=" << c.lk
+                                        << " masked=" << c.masked
+                                        << " p=" << p);
+      kernels::set_reference_mode(true);
+      const auto ref = mha_train_step(c, p);
+      kernels::set_reference_mode(false);
+      const auto fused = mha_train_step(c, p);
+      ASSERT_EQ(ref.size(), fused.size());
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        const auto& [name, want] = ref[i];
+        const Tensor& got = fused[i].second;
+        SCOPED_TRACE(name);
+        ASSERT_EQ(name, fused[i].first);
+        ASSERT_EQ(want.numel(), got.numel());
+        if (name == "wk.bias.grad") {
+          // The key bias adds q·b_k to every score of a row, which softmax
+          // cancels: its gradient is exactly zero, and both paths return
+          // rounding residue (~1e-6) that no relative bound can compare.
+          for (std::int64_t e = 0; e < got.numel(); ++e) {
+            EXPECT_LE(std::abs(want.data()[e]), 1e-5F);
+            EXPECT_LE(std::abs(got.data()[e]), 1e-5F);
+          }
+          continue;
+        }
+        expect_allclose(want.data(), got.data(), want.numel());
+      }
+    }
+  }
+}
+
+TEST(Kernels, FusedTrainForwardMatchesInference) {
+  // Dropout inactive (p = 0, or eval mode): the training forward keeps the
+  // inference kernel's bits.
+  for (const auto& c : kTrainCases) {
+    for (const bool eval_mode : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "lq=" << c.lq << " lk=" << c.lk
+                                      << " masked=" << c.masked
+                                      << " eval=" << eval_mode);
+      Rng rng(63);
+      MultiHeadAttention mha(16, 4, rng, eval_mode ? 0.2F : 0.0F, 3);
+      mha.set_training(!eval_mode);
+      const Var q = make_leaf(Tensor::randn({2, c.lq, 16}, rng, 0.5F), false);
+      const Var kv = make_leaf(Tensor::randn({2, c.lk, 16}, rng, 0.5F), false);
+      const Var mask =
+          c.masked ? make_leaf(staircase_mask(c.lq, c.lk), false) : nullptr;
+      const Var train = mha.forward(q, kv, kv, mask);
+      ASSERT_TRUE(graph_has_op(train, "fused_sdpa"));
+      Tensor inference;
+      {
+        NoGradGuard no_grad;
+        inference = mha.forward(q, kv, kv, mask)->value.clone();
+      }
+      EXPECT_EQ(std::memcmp(train->value.data(), inference.data(),
+                            sizeof(float) * inference.numel()),
+                0);
+    }
+  }
+}
+
+TEST(Kernels, FusedTrainDropoutMaskIsTheSharedDefinition) {
+  const std::int64_t B = 2, H = 2, D = 8, lq = 21, lk = 70;
+  const auto q = random_vec(B * lq * D, 71);
+  const auto k = random_vec(B * lk * D, 72);
+  const auto v = random_vec(B * lk * D, 73);
+  std::vector<float> out(static_cast<std::size_t>(B * lq * D));
+  kernels::SdpaSaved saved;
+  const float keep = 0.75F;
+  const std::uint64_t key = 0x1234ABCDULL;
+  kernels::fused_sdpa_train(q.data(), k.data(), v.data(), out.data(), B, lq,
+                            lk, H, D, 0.5F, nullptr, keep, key, saved);
+  // One 16-bit word per (batch, head, block of 16 query rows, key).
+  const std::int64_t blocks = (lq + 15) / 16;
+  ASSERT_EQ(saved.keep_bits.size(),
+            static_cast<std::size_t>(B * H * blocks * lk));
+  const std::uint64_t threshold = kernels::dropout_threshold(keep);
+  for (std::int64_t t = 0; t < B * H; ++t) {
+    for (std::int64_t i = 0; i < lq; ++i) {
+      for (std::int64_t j = 0; j < lk; ++j) {
+        const std::uint16_t word = saved.keep_bits[static_cast<std::size_t>(
+            (t * blocks + i / 16) * lk + j)];
+        const std::uint64_t index =
+            static_cast<std::uint64_t>((t * lq + i) * lk + j);
+        EXPECT_EQ(((word >> (i % 16)) & 1U) != 0,
+                  kernels::dropout_keep(key, index, threshold))
+            << "task " << t << " row " << i << " key " << j;
+      }
+    }
+  }
+}
+
+TEST(Kernels, DropoutKeepRateWithinBinomialBound) {
+  const std::int64_t n = 1 << 16;
+  const Var x = make_leaf(Tensor::ones({n}), false);
+  Rng rng(81);
+  for (const float p : {0.1F, 0.5F}) {
+    for (int call = 0; call < 4; ++call) {
+      const Var y = dropout(x, p, /*training=*/true, rng);
+      std::int64_t kept = 0;
+      for (const float value : y->value.flat()) {
+        if (value != 0.0F) {
+          ++kept;
+          EXPECT_EQ(value, 1.0F / (1.0F - p));
+        }
+      }
+      // Six standard deviations of Binomial(n, 1 - p).
+      const double mean = static_cast<double>(n) * (1.0 - p);
+      const double sd = std::sqrt(static_cast<double>(n) * p * (1.0 - p));
+      EXPECT_LE(std::abs(static_cast<double>(kept) - mean), 6.0 * sd)
+          << "p=" << p << " call " << call;
+    }
+  }
+}
+
+TEST(Kernels, DropoutDrawsOneKeyPerCall) {
+  const Var x = make_leaf(Tensor::ones({3, 50}), false);
+  Rng rng(91);
+  Rng mirror(91);
+  const Var y = dropout(x, 0.4F, /*training=*/true, rng);
+  const std::uint64_t key = mirror.next_u64();
+  EXPECT_EQ(rng.next_u64(), mirror.next_u64()) << "stream positions differ";
+  const std::uint64_t threshold = kernels::dropout_threshold(0.6F);
+  for (std::int64_t i = 0; i < x->value.numel(); ++i) {
+    EXPECT_EQ(y->value.data()[i] != 0.0F,
+              kernels::dropout_keep(key, static_cast<std::uint64_t>(i),
+                                    threshold))
+        << "element " << i;
+  }
+  // The module takes its keys from its own seeded stream, one per call;
+  // the fused attention kernel takes the same single key.
+  Dropout module(0.4F, 91);
+  module.set_training(true);
+  const Var first = module.forward(x);
+  const Var second = module.forward(x);
+  Rng replay(91);
+  const Var expect_first = dropout(x, 0.4F, true, replay);
+  const Var expect_second = dropout(x, 0.4F, true, replay);
+  EXPECT_EQ(std::memcmp(first->value.data(), expect_first->value.data(),
+                        sizeof(float) * x->value.numel()),
+            0);
+  EXPECT_EQ(std::memcmp(second->value.data(), expect_second->value.data(),
+                        sizeof(float) * x->value.numel()),
+            0);
+}
+
+// ---------------------------------------------------------------------------
 // Determinism across thread counts
 // ---------------------------------------------------------------------------
 
@@ -390,6 +640,37 @@ TEST(Kernels, FusedSdpaBitIdenticalAcrossThreadCounts) {
   omp_set_num_threads(saved);
   EXPECT_EQ(
       std::memcmp(o1.data(), o4.data(), sizeof(float) * o1.size()), 0);
+}
+
+TEST(Kernels, FusedSdpaTrainBitIdenticalAcrossThreadCounts) {
+  const std::int64_t B = 3, lq = 40, lk = 33, H = 4, D = 16;
+  const auto q = random_vec(B * lq * D, 44);
+  const auto k = random_vec(B * lk * D, 45);
+  const auto v = random_vec(B * lk * D, 46);
+  const auto g = random_vec(B * lq * D, 47);
+  const auto run = [&](int threads) {
+    omp_set_num_threads(threads);
+    std::vector<float> out(static_cast<std::size_t>(B * lq * D));
+    std::vector<float> dq(out.size());
+    std::vector<float> dk(static_cast<std::size_t>(B * lk * D));
+    std::vector<float> dv(dk.size());
+    kernels::SdpaSaved saved;
+    kernels::fused_sdpa_train(q.data(), k.data(), v.data(), out.data(), B, lq,
+                              lk, H, D, 0.5F, nullptr, 0.8F, 7, saved);
+    kernels::fused_sdpa_backward(q.data(), k.data(), v.data(), g.data(), B,
+                                 lq, lk, H, D, 0.5F, nullptr, saved, dq.data(),
+                                 dk.data(), dv.data());
+    out.insert(out.end(), dq.begin(), dq.end());
+    out.insert(out.end(), dk.begin(), dk.end());
+    out.insert(out.end(), dv.begin(), dv.end());
+    return out;
+  };
+  const int saved_threads = omp_get_max_threads();
+  const auto one = run(1);
+  const auto four = run(4);
+  omp_set_num_threads(saved_threads);
+  EXPECT_EQ(std::memcmp(one.data(), four.data(), sizeof(float) * one.size()),
+            0);
 }
 #endif  // _OPENMP
 

@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
 
 #include "common/rng.hpp"
+#include "nn/arena.hpp"
 #include "nn/layers.hpp"
 #include "nn/optim.hpp"
 
@@ -22,6 +25,53 @@ void expect_converges_to_three(MakeOpt make_opt, int steps, float tol) {
     opt->step();
   }
   EXPECT_NEAR(w->value.at(0), 3.0F, tol);
+}
+
+/// Weights after `steps` optimizer steps on a fixed quadratic, each step
+/// either inside its own arena scope (whose rewound memory the next scope
+/// overwrites) or with no scope at all.
+template <typename MakeOpt>
+std::vector<float> weights_after_steps(MakeOpt make_opt, bool in_scope) {
+  Rng rng(5);
+  Var w = make_leaf(Tensor::randn({4, 8}, rng, 1.0F), true);
+  const Tensor target = Tensor::randn({4, 8}, rng, 1.0F);
+  auto opt = make_opt(std::vector<Var>{w});
+  for (int step = 0; step < 6; ++step) {
+    std::optional<arena::Scope> scope;
+    if (in_scope) {
+      scope.emplace();
+      // Clobber what earlier scopes left behind.
+      Tensor junk = Tensor::full({64, 64}, 7.0F);
+      (void)junk;
+    }
+    opt->zero_grad();
+    const Var diff = sub(w, make_leaf(target.clone(), false));
+    backward(sum_all(mul(diff, diff)));
+    opt->step();
+  }
+  const auto flat = w->value.flat();
+  return {flat.begin(), flat.end()};
+}
+
+template <typename MakeOpt>
+void expect_scope_invariant_steps(MakeOpt make_opt) {
+  const auto heap = weights_after_steps(make_opt, false);
+  const auto scoped = weights_after_steps(make_opt, true);
+  ASSERT_EQ(heap.size(), scoped.size());
+  EXPECT_EQ(std::memcmp(heap.data(), scoped.data(),
+                        sizeof(float) * heap.size()),
+            0);
+}
+
+TEST(Adam, StepInsideArenaScopeMatchesHeapStep) {
+  expect_scope_invariant_steps(
+      [](std::vector<Var> p) { return std::make_unique<Adam>(p, 0.05F); });
+}
+
+TEST(Sgd, MomentumStepInsideArenaScopeMatchesHeapStep) {
+  expect_scope_invariant_steps([](std::vector<Var> p) {
+    return std::make_unique<Sgd>(p, 0.05F, 0.9F);
+  });
 }
 
 TEST(Sgd, ConvergesOnQuadratic) {
