@@ -1,5 +1,6 @@
 #include "bench_common.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -22,6 +23,27 @@ std::filesystem::path cache_dir_from_env() {
     return dir;
   }
   return "deepbat_cache";
+}
+
+/// The penalty factor γ that write_gamma stored at `path`. Anything but one
+/// finite number is an error naming the file: reading it as 0 would
+/// silently drop DeepBAT's SLO margin.
+double read_gamma(const std::filesystem::path& path) {
+  std::ifstream is(path);
+  DEEPBAT_CHECK(is.is_open(), "cannot open gamma file " + path.string());
+  double gamma = 0.0;
+  std::string extra;
+  const bool parsed = static_cast<bool>(is >> gamma);
+  DEEPBAT_CHECK(parsed && !(is >> extra) && std::isfinite(gamma),
+                "malformed gamma file " + path.string() +
+                    ": expected one finite number");
+  return gamma;
+}
+
+void write_gamma(const std::filesystem::path& path, double gamma) {
+  char text[64];
+  std::snprintf(text, sizeof text, "%.6f\n", gamma);
+  write_file_atomic(path.string(), text);
 }
 
 }  // namespace
@@ -110,11 +132,7 @@ double Fixture::pretrained_gamma() {
   const auto gamma_path = cache_dir_ / "deepbat_gamma_pretrained.txt";
   double gamma = 0.0;
   if (!spec_.force_retrain && std::filesystem::exists(gamma_path)) {
-    FILE* f = std::fopen(gamma_path.string().c_str(), "r");
-    if (f != nullptr) {
-      if (std::fscanf(f, "%lf", &gamma) != 1) gamma = 0.0;
-      std::fclose(f);
-    }
+    gamma = read_gamma(gamma_path);
   } else {
     core::Surrogate& model = pretrained();
     core::DatasetBuilderOptions dopt = spec_.dataset;
@@ -124,11 +142,7 @@ double Fixture::pretrained_gamma() {
         core::build_dataset(azure(12.0), grid_, model_, dopt);
     gamma = std::min(0.5, core::estimate_gamma(model, held_out));
     std::printf("[fixture] pretrained gamma = %.3f\n", gamma);
-    FILE* f = std::fopen(gamma_path.string().c_str(), "w");
-    if (f != nullptr) {
-      std::fprintf(f, "%.6f\n", gamma);
-      std::fclose(f);
-    }
+    write_gamma(gamma_path, gamma);
   }
   gammas_[key] = gamma;
   return gamma;
@@ -157,11 +171,7 @@ Fixture::Finetuned Fixture::finetuned(const std::string& name,
     if (!spec_.force_retrain && std::filesystem::exists(path) &&
         std::filesystem::exists(gamma_path)) {
       nn::load_module(path.string(), *model_ptr);
-      FILE* f = std::fopen(gamma_path.string().c_str(), "r");
-      if (f != nullptr) {
-        if (std::fscanf(f, "%lf", &gamma) != 1) gamma = 0.0;
-        std::fclose(f);
-      }
+      gamma = read_gamma(gamma_path);
     } else {
       // Start from the pretrained weights.
       const auto pre_path = spec_.cache_path;
@@ -175,11 +185,7 @@ Fixture::Finetuned Fixture::finetuned(const std::string& name,
           "[fixture] fine-tuned '%s': val MAPE %.2f%%, gamma %.3f (%.0f s)\n",
           name.c_str(), ft.final_validation_mape, gamma, ft.seconds);
       nn::save_module(path.string(), *model_ptr);
-      FILE* f = std::fopen(gamma_path.string().c_str(), "w");
-      if (f != nullptr) {
-        std::fprintf(f, "%.6f\n", gamma);
-        std::fclose(f);
-      }
+      write_gamma(gamma_path, gamma);
     }
     model_ptr->set_training(false);
     gammas_[name] = gamma;
@@ -236,8 +242,10 @@ ReplayArgs parse_replay_args(int argc, const char* const* argv,
         flags.get_double("interval", defaults.control_interval_s);
     defaults.cold_start_seed = static_cast<std::uint64_t>(flags.get_int(
         "cold-seed", static_cast<std::int64_t>(defaults.cold_start_seed)));
-    defaults.shards = static_cast<std::size_t>(
-        flags.get_int("shards", static_cast<std::int64_t>(defaults.shards)));
+    const std::int64_t shards =
+        flags.get_int("shards", static_cast<std::int64_t>(defaults.shards));
+    DEEPBAT_CHECK(shards >= 1, "replay args: --shards must be at least 1");
+    defaults.shards = static_cast<std::size_t>(shards);
     defaults.fault_scenario = flags.get("faults", defaults.fault_scenario);
     defaults.fault_seed = static_cast<std::uint64_t>(flags.get_int(
         "fault-seed", static_cast<std::int64_t>(defaults.fault_seed)));
@@ -259,8 +267,6 @@ ReplayArgs parse_replay_args(int argc, const char* const* argv,
     DEEPBAT_CHECK(defaults.slo_s > 0.0, "replay args: --slo must be positive");
     DEEPBAT_CHECK(defaults.control_interval_s > 0.0,
                   "replay args: --interval must be positive");
-    DEEPBAT_CHECK(defaults.shards >= 1,
-                  "replay args: --shards must be at least 1");
   } catch (const Error& e) {
     std::fprintf(stderr,
                  "%s\nusage: %s [--slo S] [--hours H] [--interval S] "

@@ -319,7 +319,8 @@ void bench_grid_scoring(const std::vector<int>& thread_counts,
   // seed's per-tick recipe — broadcast E_1 over the grid, re-encode the
   // config features, run the composed autograd head — and "fused" is the
   // GridScoringCache pass at each precision, solo (r1) and batched across
-  // eight tenants of a tick group (r8).
+  // eight tenants of a tick group (r8); fp32 also at r16, about the rows per
+  // call of perfbench's fleet_surrogate (informational, not gated).
   std::printf("[grid_scoring] standard grid, precision sweep\n");
   core::SurrogateConfig scfg;
   scfg.sequence_length = 256;
@@ -363,11 +364,13 @@ void bench_grid_scoring(const std::vector<int>& thread_counts,
             1e9 * static_cast<double>(grid_n) / ns});
   }
 
-  // fused: GridScoringCache at fp32/fp16, r1 and r8.
+  // fused: GridScoringCache at fp32/fp16, r1 and r8 (+ r16 for fp32).
   for (const core::ScoringPrecision precision :
        {core::ScoringPrecision::kFp32, core::ScoringPrecision::kFp16}) {
     const auto cache = model.make_scoring_cache(configs, precision);
-    for (const std::size_t rows : {std::size_t{1}, std::size_t{8}}) {
+    std::vector<std::size_t> row_counts = {1, 8};
+    if (precision == core::ScoringPrecision::kFp32) row_counts.push_back(16);
+    for (const std::size_t rows : row_counts) {
       std::vector<float> e1_rows;
       for (std::size_t r = 0; r < rows; ++r) {
         e1_rows.insert(e1_rows.end(), e1.begin(), e1.end());

@@ -16,12 +16,14 @@
 // Exit code 1 when the enabled overhead exceeds max(2%, 3x noise floor).
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 
 using namespace deepbat;
@@ -73,6 +75,10 @@ double replay_once(bench::Fixture& fx, const workload::Trace& trace,
 int main(int argc, char** argv) {
   const auto args = bench::parse_replay_args(
       argc, argv, bench::replay_defaults(0.1, 0.25));
+  int reps = 3;
+  if (const char* r = std::getenv("DEEPBAT_OBS_REPS")) {
+    reps = static_cast<int>(parse_positive_int(r, "DEEPBAT_OBS_REPS", INT_MAX));
+  }
   bench::preamble("Observability overhead",
                   "hot-path write cost and replay wall-time delta with the "
                   "obs layer on vs off (budget: <2% on, ~=0 off)");
@@ -102,10 +108,6 @@ int main(int argc, char** argv) {
   const core::Surrogate& surrogate = fx.pretrained();
   const double gamma = fx.pretrained_gamma();
 
-  int reps = 3;
-  if (const char* r = std::getenv("DEEPBAT_OBS_REPS")) {
-    reps = std::max(1, std::atoi(r));
-  }
   // Warmup (trains nothing — the fixture is cached — but touches the trace,
   // the model weights, and the allocator arenas).
   replay_once(fx, trace, surrogate, gamma, args);

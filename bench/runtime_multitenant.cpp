@@ -12,6 +12,7 @@
 // file BENCH_runtime_scaling.json is owned by bench/runtime_scale, which
 // sweeps Zipf fleets to 100k+ tenants.)
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "common/cli.hpp"
 #include "common/table.hpp"
 
 using namespace deepbat;
@@ -35,6 +37,15 @@ double wall_seconds(std::chrono::steady_clock::time_point t0) {
 int main(int argc, char** argv) {
   const auto args = bench::parse_replay_args(
       argc, argv, bench::replay_defaults(0.1, 1.0));
+  std::vector<std::string> workloads = {"azure", "twitter", "alibaba",
+                                        "synthetic"};
+  if (const char* n = std::getenv("DEEPBAT_TENANTS")) {
+    // More tenants than workloads: cycle through the canonical four.
+    const std::int64_t want = parse_positive_int(n, "DEEPBAT_TENANTS", INT_MAX);
+    for (std::int64_t i = 4; i < want; ++i) {
+      workloads.push_back(workloads[static_cast<std::size_t>(i % 4)]);
+    }
+  }
   bench::preamble("Multi-tenant runtime — batched control ticks",
                   "N independent solo replays vs one shared-encoder runtime; "
                   "per-tick latency, cache hit rate, forwards issued");
@@ -43,13 +54,6 @@ int main(int argc, char** argv) {
   const core::Surrogate& surrogate = fx.pretrained();
   const double gamma = fx.pretrained_gamma();
 
-  std::vector<std::string> workloads = {"azure", "twitter", "alibaba",
-                                        "synthetic"};
-  if (const char* n = std::getenv("DEEPBAT_TENANTS")) {
-    // More tenants than workloads: cycle through the canonical four.
-    const int want = std::atoi(n);
-    for (int i = 4; i < want; ++i) workloads.push_back(workloads[i % 4]);
-  }
   std::vector<const workload::Trace*> traces;
   traces.reserve(workloads.size());
   for (const auto& w : workloads) traces.push_back(&fx.by_name(w, hours));

@@ -79,8 +79,10 @@ int main(int argc, char** argv) {
     CliFlags flags(argc, argv);
     flags.check_known(
         {"max-tenants", "horizon", "interval", "top-rate", "seed", "out"});
-    max_tenants =
-        static_cast<std::size_t>(flags.get_int("max-tenants", 100000));
+    const std::int64_t max_tenants_arg = flags.get_int("max-tenants", 100000);
+    DEEPBAT_CHECK(max_tenants_arg >= 1,
+                  "runtime_scale: --max-tenants must be at least 1");
+    max_tenants = static_cast<std::size_t>(max_tenants_arg);
     horizon_s = flags.get_double("horizon", 300.0);
     base_interval_s = flags.get_double("interval", 2.0);
     top_rate = flags.get_double("top-rate", 30.0);

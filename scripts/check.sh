@@ -6,8 +6,9 @@
 #
 # The ASan stage rebuilds into build-asan/ with DEEPBAT_SANITIZE=address and
 # runs the nn/kernel/arena test binaries plus the obs registry, the
-# fault-injection simulator (test_sim), and the sharded runtime tests (whose
-# faulted shard-invariance cases cover the retry/drop paths); the TSan stage
+# fault-injection simulator (test_sim), the sharded runtime tests (whose
+# faulted shard-invariance cases cover the retry/drop paths), and test_core
+# (the fused grid-scoring head's padded config lanes); the TSan stage
 # rebuilds into build-tsan/ and runs the obs
 # tests (concurrent increments against the lock-free metric shards) plus
 # test_runtime and test_common, whose WorkerPool / concurrent-shard stress
@@ -79,12 +80,13 @@ cmake -B build-asan -S . -DDEEPBAT_SANITIZE=address -DDEEPBAT_NATIVE=OFF \
   >/dev/null
 cmake --build build-asan -j"$(nproc)" --target \
   test_nn_kernels test_nn_tensor test_nn_autograd test_nn_modules test_obs \
-  test_common test_sim test_runtime test_lambda test_fleet test_learn
+  test_common test_sim test_runtime test_lambda test_fleet test_learn \
+  test_core
 
 echo "== asan: run =="
 for t in test_nn_kernels test_nn_tensor test_nn_autograd test_nn_modules \
          test_obs test_common test_sim test_runtime test_lambda test_fleet \
-         test_learn; do
+         test_learn test_core; do
   ./build-asan/tests/"$t"
 done
 

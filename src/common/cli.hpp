@@ -18,6 +18,11 @@ class CliFlags {
   bool has(const std::string& name) const;
 
   std::string get(const std::string& name, const std::string& fallback) const;
+  /// The typed getters return `fallback` for an absent flag and throw
+  /// deepbat::Error naming the flag unless its whole value parses:
+  /// get_int a decimal integer (optional '-', no '+', space or suffix),
+  /// get_double a finite decimal number, get_bool one of
+  /// true|false|1|0|yes|no (a bare flag reads as true).
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;

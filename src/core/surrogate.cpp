@@ -198,8 +198,8 @@ GridScoringCache Surrogate::make_scoring_cache(
   const std::int64_t h = config_.ffn_hidden;
   nn::NoGradGuard no_grad;
 
-  // Plain copies (features, weight slices) go straight to stable storage:
-  // the cache must outlive any caller arena scope.
+  // Plain copies (features, weights) go straight to stable storage: the
+  // cache must outlive any caller arena scope.
   {
     nn::arena::Pause heap;
     cache.features_ = nn::Tensor({n, f});
@@ -211,46 +211,43 @@ GridScoringCache Surrogate::make_scoring_cache(
     DEEPBAT_CHECK(w1.dim(0) == d + fe && w1.dim(1) == h,
                   "make_scoring_cache: head fc1 shape mismatch");
     cache.w1_ = w1.clone();
-    cache.w1_top_ = nn::Tensor({d, h});
-    std::memcpy(cache.w1_top_.data(), w1.data(),
-                static_cast<std::size_t>(d * h) * sizeof(float));
-    cache.w1_bot_ = nn::Tensor({fe, h});
-    std::memcpy(cache.w1_bot_.data(), w1.data() + d * h,
-                static_cast<std::size_t>(fe * h) * sizeof(float));
     cache.b1_ = output_ff_.fc1().bias()->value.clone();
     cache.w2_ = output_ff_.fc2().weight()->value.clone();
     cache.b2_ = output_ff_.fc2().bias()->value.clone();
   }
 
-  // E_2 through the same autograd ops as the composed head, so the fused
-  // fp32 pass consumes bit-identical feature embeddings.
-  {
-    nn::arena::Scope scope;
-    nn::Var std_feats =
-        nn::make_leaf(standardizer_.apply(cache.features_), false,
-                      "std_features");
-    const nn::Var e2 = feature_ff_.forward(std_feats);
-    nn::arena::Pause heap;
-    cache.e2_ = e2->value.clone();
-  }
-
-  // The feature half of head fc1 (+ its bias), constant per grid: the
-  // fp16 path starts from this instead of re-multiplying E_2 every tick.
-  {
-    nn::arena::Pause heap;
-    cache.h_feat_ = nn::Tensor({n, h});
-    nn::kernels::gemm(cache.e2_.data(), cache.w1_bot_.data(),
-                      cache.h_feat_.data(), n, fe, h, false, false, false);
-    const float* b1 = cache.b1_.data();
-    for (std::int64_t r = 0; r < n; ++r) {
-      float* row = cache.h_feat_.data() + r * h;
-      for (std::int64_t j = 0; j < h; ++j) row[j] += b1[j];
+  // E_2 through the same autograd ops as the composed head, so scoring
+  // consumes bit-identical feature embeddings.
+  nn::arena::Scope scope;
+  nn::Var std_feats =
+      nn::make_leaf(standardizer_.apply(cache.features_), false,
+                    "std_features");
+  const nn::Var e2v = feature_ff_.forward(std_feats);
+  const nn::Tensor& e2 = e2v->value;  // [n, fe]
+  nn::arena::Pause heap;
+  if (precision == ScoringPrecision::kFp32) {
+    // E_2 transposed into the fused kernel's [fe, n_pad] config panel.
+    const std::int64_t lanes = nn::kernels::kGridLanes;
+    const std::int64_t n_pad = (n + lanes - 1) / lanes * lanes;
+    cache.e2t_ = nn::Tensor::zeros({fe, n_pad});
+    for (std::int64_t i = 0; i < n; ++i) {
+      for (std::int64_t k = 0; k < fe; ++k) {
+        cache.e2t_.data()[k * n_pad + i] = e2.data()[i * fe + k];
+      }
     }
+    return cache;
   }
-
-  if (precision == ScoringPrecision::kFp16) {
-    cache.w2_h_ = nn::HalfMatrix::from_tensor(cache.w2_);
+  // fp16: the feature half of head fc1 (+ its bias) is constant per grid,
+  // so each call only adds the E_1 half to this.
+  cache.h_feat_ = nn::Tensor({n, h});
+  nn::kernels::gemm(e2.data(), cache.w1_.data() + d * h, cache.h_feat_.data(),
+                    n, fe, h, false, false, false);
+  const float* b1 = cache.b1_.data();
+  for (std::int64_t r = 0; r < n; ++r) {
+    float* row = cache.h_feat_.data() + r * h;
+    for (std::int64_t j = 0; j < h; ++j) row[j] += b1[j];
   }
+  cache.w2_h_ = nn::HalfMatrix::from_tensor(cache.w2_);
   return cache;
 }
 
@@ -270,50 +267,13 @@ void Surrogate::predict_grid_from_e1_batch(std::span<const float> e1_rows,
   DEEPBAT_CHECK(static_cast<std::int64_t>(out.size()) == R * n * o,
                 "predict_grid_from_e1_batch: output buffer size mismatch");
   if (R == 0) return;
-  nn::NoGradGuard no_grad;
-  nn::arena::Scope scope;
-  const std::int64_t rows = R * n;
-
-  nn::Tensor hidden({rows, h});
-  float* hp = hidden.data();
   if (cache.precision_ == ScoringPrecision::kFp32) {
-    // Exact path: materialize the concat(E_1, E_2) matrix and run the SAME
-    // full-k GEMM the composed autograd head runs (matmul collapses to one
-    // kernels::gemm call), so every hidden element reproduces the composed
-    // path's l-sequential accumulation bit-for-bit. Splitting the product
-    // into an E_1-half and an E_2-half GEMM would route the halves through
-    // different micro-kernel variants and can differ in the last ulp —
-    // enough to flip a borderline feasibility decision under a tightened
-    // SLO. What the fused pass still saves per tick: the feature branch
-    // (E_2 is cached), the per-call cache rebuild, and the per-tenant
-    // dispatch — and it batches all tenants into one pass.
-    nn::Tensor x({rows, d + fe});
-    for (std::int64_t r = 0; r < R; ++r) {
-      const float* e1_row = e1_rows.data() + r * d;
-      for (std::int64_t i = 0; i < n; ++i) {
-        float* xrow = x.data() + (r * n + i) * (d + fe);
-        std::memcpy(xrow, e1_row, static_cast<std::size_t>(d) * sizeof(float));
-        std::memcpy(xrow + d, cache.e2_.data() + i * fe,
-                    static_cast<std::size_t>(fe) * sizeof(float));
-      }
-    }
-    nn::kernels::gemm(x.data(), cache.w1_.data(), hp, rows, d + fe, h, false,
-                      false, false);
-    const float* b1 = cache.b1_.data();
-    for (std::int64_t r = 0; r < rows; ++r) {
-      float* row = hp + r * h;
-      for (std::int64_t j = 0; j < h; ++j) {
-        const float v = row[j] + b1[j];
-        row[j] = v > 0.0F ? v : 0.0F;
-      }
-    }
-    nn::kernels::gemm(hp, cache.w2_.data(), out.data(), rows, h, o, false,
-                      false, false);
-    const float* b2 = cache.b2_.data();
-    for (std::int64_t r = 0; r < rows; ++r) {
-      float* row = out.data() + r * o;
-      for (std::int64_t j = 0; j < o; ++j) row[j] += b2[j];
-    }
+    // Exact: the fused head reproduces the composed autograd head's
+    // arithmetic bit for bit (kernels.hpp, DESIGN.md §12).
+    nn::kernels::fused_grid_head(e1_rows.data(), R, d, cache.e2t_.data(), n,
+                                 fe, cache.w1_.data(), cache.b1_.data(), h,
+                                 cache.w2_.data(), cache.b2_.data(), o,
+                                 out.data());
     return;
   }
 
@@ -322,8 +282,13 @@ void Surrogate::predict_grid_from_e1_batch(std::span<const float> e1_rows,
   // per-config output GEMM runs on fp16 weights. The live half of head fc1
   // — U = E_1 @ W1_top, [R, h] — stays fp32: it is O(tenants), not
   // O(tenants * grid).
+  nn::NoGradGuard no_grad;
+  nn::arena::Scope scope;
+  const std::int64_t rows = R * n;
+  nn::Tensor hidden({rows, h});
+  float* hp = hidden.data();
   nn::Tensor u({R, h});
-  nn::kernels::gemm(e1_rows.data(), cache.w1_top_.data(), u.data(), R, d, h,
+  nn::kernels::gemm(e1_rows.data(), cache.w1_.data(), u.data(), R, d, h,
                     false, false, false);
   const float* hf = cache.h_feat_.data();
   for (std::int64_t r = 0; r < R; ++r) {

@@ -78,16 +78,17 @@ const char* to_string(ScoringPrecision precision);
 /// Parse "fp32" / "fp16" (CLI --precision values).
 std::optional<ScoringPrecision> parse_scoring_precision(std::string_view name);
 
-/// Immutable per-grid scoring state: the raw feature tensor, the feature
-/// branch's output E_2, the head weights sliced for the fused pass, and —
-/// for fp16 — the binary16 weight image plus the cached feature half of the
-/// first head layer. Built once per (grid, precision) by
-/// Surrogate::make_scoring_cache and never mutated afterwards, so none of
-/// this is recomputed per tick.
+/// Immutable per-grid scoring state: the raw feature tensor, the head
+/// weights, and the feature branch's output E_2 in the form the precision
+/// scores it from — for fp32 a transposed [feature_embed_dim, n_pad] config
+/// panel for the fused head kernel, for fp16 the cached feature half of the
+/// first head layer plus the binary16 weight image. Built once per (grid,
+/// precision) by Surrogate::make_scoring_cache and never mutated
+/// afterwards, so none of this is recomputed per tick.
 ///
 /// Thread safety: the cache is immutable and scoring reads it const
-/// (per-call scratch lives in the thread-local arena), so one cache may
-/// serve several runtime shards concurrently.
+/// (per-call scratch is thread-local), so one cache may serve several
+/// runtime shards concurrently.
 class GridScoringCache {
  public:
   GridScoringCache() = default;
@@ -103,20 +104,17 @@ class GridScoringCache {
   ScoringPrecision precision_ = ScoringPrecision::kFp32;
   std::int64_t n_ = 0;       // grid size
   nn::Tensor features_;      // [n, feature_dim] raw
-  nn::Tensor e2_;            // [n, feature_embed_dim] feature-branch output
-  nn::Tensor w1_;            // [model_dim + feature_embed_dim, hidden]:
-                             // full head fc1, for the exact fp32 concat GEMM
-  nn::Tensor w1_top_;        // [model_dim, hidden]: E_1 half of head fc1
-  nn::Tensor w1_bot_;        // [feature_embed_dim, hidden]: E_2 half
+  nn::Tensor w1_;            // [model_dim + feature_embed_dim, hidden]
   nn::Tensor b1_;            // [hidden]
   nn::Tensor w2_;            // [hidden, output_dim]
   nn::Tensor b2_;            // [output_dim]
-  /// E_2 @ w1_bot + b1, cached for the fp16 path: the feature half of the
-  /// first head layer is constant across tenants AND ticks, so it only
-  /// recomputes the E_1 half per tick. (The exact fp32 path re-accumulates
-  /// it instead, to preserve the composed path's summation order
-  /// bit-for-bit.)
-  nn::Tensor h_feat_;        // [n, hidden]
+  /// fp32: E_2 transposed, [feature_embed_dim, n_pad] with n_pad = n
+  /// rounded up to nn::kernels::kGridLanes, padding columns zero.
+  nn::Tensor e2t_;
+  /// fp16: E_2 @ W1[model_dim:, :] + b1, [n, hidden] — the feature half of
+  /// the first head layer is constant across tenants and ticks, so only
+  /// the E_1 half is computed per call.
+  nn::Tensor h_feat_;
   nn::HalfMatrix w2_h_;      // fp16 image of w2_
 };
 

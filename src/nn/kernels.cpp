@@ -33,6 +33,12 @@ obs::Histogram& sdpa_hist() {
   return h;
 }
 
+obs::Histogram& grid_head_hist() {
+  static obs::Histogram& h = obs::MetricsRegistry::instance().histogram(
+      "nn.kernels.grid_head_seconds");
+  return h;
+}
+
 obs::Histogram& sdpa_backward_hist() {
   static obs::Histogram& h = obs::MetricsRegistry::instance().histogram(
       "nn.kernels.attention_backward_seconds");
@@ -490,10 +496,10 @@ typedef float RowVec __attribute__((vector_size(kSdpaRows * sizeof(float))));
 thread_local std::vector<float> tl_sdpa_kv;
 thread_local std::vector<RowVec> tl_sdpa_vecs;
 
-/// Grain for `tasks` (batch, head) tasks of `flops_per_task` flops each.
+/// Grain for `tasks` tasks of `flops_per_task` flops each.
 /// As for GEMM, a call under kMinFlopsParallel total flops runs serially
 /// (grain = tasks): its fork/join would cost more than the math.
-std::size_t sdpa_grain(std::int64_t tasks, std::int64_t flops_per_task) {
+std::size_t task_grain(std::int64_t tasks, std::int64_t flops_per_task) {
   if (tasks * flops_per_task < kMinFlopsParallel) {
     return static_cast<std::size_t>(std::max<std::int64_t>(tasks, 1));
   }
@@ -735,7 +741,7 @@ void fused_sdpa_impl(const float* q, const float* k, const float* v,
         }
       },
       // ~4 flops per (i, j, d) triple: QK^T dot plus the PV accumulation.
-      sdpa_grain(tasks, 4 * lq * lk * dh));
+      task_grain(tasks, 4 * lq * lk * dh));
 }
 
 /// Backward of fused_sdpa_impl's training forward (DESIGN.md §7). Per row
@@ -865,7 +871,7 @@ void fused_sdpa_backward_impl(const float* q, const float* k, const float* v,
         }
       },
       // ~10 flops per (i, j, d): scores, dP, dV, dK and dQ.
-      sdpa_grain(tasks, 10 * lq * lk * dh));
+      task_grain(tasks, 10 * lq * lk * dh));
 }
 
 }  // namespace
@@ -908,6 +914,122 @@ void fused_sdpa_backward(const float* q, const float* k, const float* v,
   timed(sdpa_backward_hist, [&] {
     fused_sdpa_backward_impl(q, k, v, dout, batch, lq, lk, heads, dim, scale,
                              mask, saved, dq, dk, dv);
+  });
+}
+
+namespace {
+
+// A ConfigVec holds one float per config of a kGridLanes block; every
+// vector operation below is elementwise across configs.
+typedef float ConfigVec
+    __attribute__((vector_size(kGridLanes * sizeof(float))));
+
+// Per-thread head scratch: the rows' E_1 partial chains U [rows, h] (on the
+// calling thread), and per task the block's embeddings and output sums.
+thread_local std::vector<float> tl_head_u;
+thread_local std::vector<ConfigVec> tl_head_vecs;
+
+/// Hidden units j .. j + J - 1 of one config block, given their E_1 chain
+/// parts u: the rest of their fc1 chains, bias and ReLU, then their links
+/// of every output chain acc[p], in j order. J > 1 only shares the loads of
+/// the block's embeddings between units; each unit's arithmetic is the same.
+template <int J>
+inline void head_units(const float* u, const ConfigVec* ev, std::int64_t fe,
+                       const float* w1e, std::int64_t h, const float* b1,
+                       const float* w2, std::int64_t o, ConfigVec* acc) {
+  ConfigVec z[J];
+  for (int q = 0; q < J; ++q) z[q] = u[q] - ConfigVec{};  // broadcast, -0 kept
+  for (std::int64_t k = 0; k < fe; ++k) {
+    const ConfigVec e = ev[k];
+    const float* wk = w1e + k * h;
+    for (int q = 0; q < J; ++q) z[q] += e * wk[q];
+  }
+  for (int q = 0; q < J; ++q) {
+    z[q] += b1[q];
+    z[q] = z[q] > ConfigVec{} ? z[q] : ConfigVec{};
+  }
+  for (std::int64_t p = 0; p < o; ++p) {
+    ConfigVec y = acc[p];
+    for (int q = 0; q < J; ++q) y += z[q] * w2[q * o + p];
+    acc[p] = y;
+  }
+}
+
+/// The summation order, per (row r, config i), with W1 split at row d into
+/// W1_x [d, h] and W1_e [fe, h]:
+///   U_j   = (((0 + x_0 W1_x[0, j]) + x_1 W1_x[1, j]) + ...) + x_d-1 ...
+///   z_j   = ((U_j + e_0 W1_e[0, j]) + ...) + e_fe-1 W1_e[fe-1, j]
+///   a_j   = relu(z_j + b1_j)
+///   y_p   = (((0 + a_0 W2[0, p]) + a_1 W2[1, p]) + ...) + a_h-1 W2[h-1, p]
+///   out_p = y_p + b2_p
+/// which is gemm's l-sequential chain over the concatenated input, then the
+/// bias add and ReLU of Linear + relu. Whether a link `s + u v` is one
+/// fused multiply-add or a rounded product then a sum is the compiler's
+/// contraction choice, the same one it makes inside gemm.
+void fused_grid_head_impl(const float* x, std::int64_t rows, std::int64_t d,
+                          const float* e2t, std::int64_t n, std::int64_t fe,
+                          const float* w1, const float* b1, std::int64_t h,
+                          const float* w2, const float* b2, std::int64_t o,
+                          float* out) {
+  constexpr std::int64_t L = kGridLanes;
+  const std::int64_t n_pad = (n + L - 1) / L * L;
+  const std::int64_t blocks = n_pad / L;
+  const auto u_need = static_cast<std::size_t>(rows * h);
+  if (tl_head_u.size() < u_need) tl_head_u.resize(u_need);
+  float* u = tl_head_u.data();
+  for (std::int64_t r = 0; r < rows; ++r) {
+    float* ur = u + r * h;
+    std::fill(ur, ur + h, 0.0F);
+    for (std::int64_t k = 0; k < d; ++k) {
+      const float xk = x[r * d + k];
+      const float* wk = w1 + k * h;
+      for (std::int64_t j = 0; j < h; ++j) ur[j] += xk * wk[j];
+    }
+  }
+  const float* w1e = w1 + d * h;
+  const std::int64_t tasks = rows * blocks;
+  parallel_for(
+      static_cast<std::size_t>(tasks),
+      [&](std::size_t t) {
+        const std::int64_t r = static_cast<std::int64_t>(t) / blocks;
+        const std::int64_t i0 = static_cast<std::int64_t>(t) % blocks * L;
+        const auto vecs_need = static_cast<std::size_t>(fe + o);
+        if (tl_head_vecs.size() < vecs_need) tl_head_vecs.resize(vecs_need);
+        ConfigVec* ev = tl_head_vecs.data();
+        ConfigVec* acc = ev + fe;
+        for (std::int64_t k = 0; k < fe; ++k) {
+          std::memcpy(&ev[k], e2t + k * n_pad + i0, sizeof(ConfigVec));
+        }
+        std::fill(acc, acc + o, ConfigVec{});
+        const float* ur = u + r * h;
+        std::int64_t j = 0;
+        for (; j + 4 <= h; j += 4) {
+          head_units<4>(ur + j, ev, fe, w1e + j, h, b1 + j, w2 + j * o, o,
+                        acc);
+        }
+        for (; j < h; ++j) {
+          head_units<1>(ur + j, ev, fe, w1e + j, h, b1 + j, w2 + j * o, o,
+                        acc);
+        }
+        const std::int64_t valid = std::min(L, n - i0);
+        float* orow = out + (r * n + i0) * o;
+        for (std::int64_t p = 0; p < o; ++p) {
+          const ConfigVec y = acc[p] + b2[p];
+          for (std::int64_t c = 0; c < valid; ++c) orow[c * o + p] = y[c];
+        }
+      },
+      task_grain(tasks, 2 * L * (fe * h + h * o)));
+}
+
+}  // namespace
+
+void fused_grid_head(const float* x, std::int64_t rows, std::int64_t d,
+                     const float* e2t, std::int64_t n, std::int64_t fe,
+                     const float* w1, const float* b1, std::int64_t h,
+                     const float* w2, const float* b2, std::int64_t o,
+                     float* out) {
+  timed(grid_head_hist, [&] {
+    fused_grid_head_impl(x, rows, d, e2t, n, fe, w1, b1, h, w2, b2, o, out);
   });
 }
 

@@ -12,7 +12,9 @@
 // The naive reference kernels (the seed implementations) stay available for
 // golden-value tests and for the regression harness's before/after
 // comparison; `set_reference_mode(true)` routes the optimized entry points
-// back to them at runtime.
+// back to them at runtime. fused_grid_head is the exception: it has no
+// naive twin, and its reference is the composed autograd head, which the
+// scoring tests compare it against bit for bit.
 
 #include <cstdint>
 #include <cstring>
@@ -58,6 +60,30 @@ void fused_sdpa(const float* q, const float* k, const float* v, float* out,
                 std::int64_t batch, std::int64_t lq, std::int64_t lk,
                 std::int64_t heads, std::int64_t dim, float scale,
                 const float* mask = nullptr);
+
+/// Configs per vector in fused_grid_head: the width of its config panel's
+/// blocks (the panel's column count is padded to a multiple of this).
+inline constexpr std::int64_t kGridLanes = 16;
+
+/// Fused grid-scoring head (DESIGN.md §12): for each of `rows` tenant rows
+/// x_r [d] and each of n configs with feature embedding e_i [fe],
+///
+///   out[r, i, :] = relu([x_r, e_i] W1 + b1) W2 + b2
+///
+/// with W1 [d + fe, h], b1 [h], W2 [h, o], b2 [o] row-major and `out`
+/// [rows, n, o]. The embeddings come as a transposed panel e2t [fe, n_pad],
+/// n_pad = n rounded up to kGridLanes, padding columns zero. Each hidden
+/// and output element is the chain gemm() would compute for the
+/// concatenated input, links in the same order: the first d links of a
+/// hidden element depend only on x_r, so they run once per row and every
+/// config continues from them. Configs are the vector axis, so a row's
+/// result depends on neither its block nor the other rows of the call;
+/// neither the [rows * n, d + fe] input nor the hidden layer is formed.
+void fused_grid_head(const float* x, std::int64_t rows, std::int64_t d,
+                     const float* e2t, std::int64_t n, std::int64_t fe,
+                     const float* w1, const float* b1, std::int64_t h,
+                     const float* w2, const float* b2, std::int64_t o,
+                     float* out);
 
 // --- dropout keep-mask (DESIGN.md §7) ---
 //
@@ -227,8 +253,9 @@ inline constexpr std::int64_t kMinFlopsParallel = std::int64_t{1} << 21;
 /// (B read in natural [k, n] layout, no pack) instead of the kMr x kNr
 /// tile, whose j-vectorized inner loop is mostly idle lanes for skinny
 /// outputs; k must be at least kSmallNMinK so the per-tile setup amortizes.
-/// The grid-scoring output GEMM (n = output_dim = 8, k = ffn_hidden = 32)
-/// is the shape this threshold must admit. Per-element accumulation order
+/// The head's output GEMM (n = output_dim = 8, k = ffn_hidden = 32), run
+/// by the composed head and the fp16 grid-scoring path, is the shape this
+/// threshold must admit. Per-element accumulation order
 /// is identical to the generic micro kernels, so the cutover never changes
 /// result bits — only speed.
 inline constexpr std::int64_t kSmallNMax = 8;

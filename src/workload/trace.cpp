@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 
 #include "common/error.hpp"
 
@@ -79,23 +78,6 @@ void Trace::append(const Trace& other) {
   DEEPBAT_CHECK(times_.empty() || other.times_.front() >= times_.back(),
                 "Trace::append: would break monotonicity");
   times_.insert(times_.end(), other.times_.begin(), other.times_.end());
-}
-
-void Trace::save(const std::string& path) const {
-  std::ofstream os(path, std::ios::trunc);
-  DEEPBAT_CHECK(os.is_open(), "Trace::save: cannot open " + path);
-  os.precision(12);
-  for (double t : times_) os << t << '\n';
-  DEEPBAT_CHECK(os.good(), "Trace::save: write failed");
-}
-
-Trace Trace::load(const std::string& path) {
-  std::ifstream is(path);
-  DEEPBAT_CHECK(is.is_open(), "Trace::load: cannot open " + path);
-  std::vector<double> times;
-  double t = 0.0;
-  while (is >> t) times.push_back(t);
-  return Trace(std::move(times));
 }
 
 Trace merge_traces(std::span<const Trace* const> traces) {

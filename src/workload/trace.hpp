@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace deepbat::workload {
@@ -47,10 +46,6 @@ class Trace {
 
   /// Append another trace; its first timestamp must be >= our last.
   void append(const Trace& other);
-
-  /// Save/load one timestamp per line (plain text, for data exchange).
-  void save(const std::string& path) const;
-  static Trace load(const std::string& path);
 
  private:
   std::vector<double> times_;

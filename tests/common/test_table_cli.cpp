@@ -73,6 +73,106 @@ TEST(Cli, CheckKnownCatchesTypos) {
   EXPECT_NO_THROW(flags2.check_known({"seed"}));
 }
 
+/// Parses `--v <text>` and returns the flag set (argv-style).
+CliFlags one_flag(const char* text) {
+  const char* argv[] = {"prog", "--v", text};
+  return CliFlags(3, argv);
+}
+
+TEST(Cli, GetIntAcceptsOnlyWholeIntegerTokens) {
+  struct Case {
+    const char* text;
+    bool ok;
+    std::int64_t want;
+  };
+  const Case cases[] = {
+      {"3", true, 3},
+      {"-1", true, -1},
+      {"0", true, 0},
+      {"9223372036854775807", true, INT64_MAX},
+      {"2x", false, 0},
+      {"+3", false, 0},
+      {" 3", false, 0},
+      {"3 ", false, 0},
+      {"2.5", false, 0},
+      {"1e3", false, 0},
+      {"0x10", false, 0},
+      {"9223372036854775808", false, 0},
+      {"", false, 0},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.text);
+    const CliFlags flags = one_flag(c.text);
+    if (c.ok) {
+      EXPECT_EQ(flags.get_int("v", 99), c.want);
+    } else {
+      EXPECT_THROW(flags.get_int("v", 99), Error);
+    }
+  }
+}
+
+TEST(Cli, GetDoubleAcceptsOnlyWholeFiniteTokens) {
+  struct Case {
+    const char* text;
+    bool ok;
+    double want;
+  };
+  const Case cases[] = {
+      {"2.5", true, 2.5},
+      {"-0.25", true, -0.25},
+      {"20", true, 20.0},
+      {"20.0", true, 20.0},
+      {"1e3", true, 1000.0},
+      {"2.5x", false, 0.0},
+      {"+1", false, 0.0},
+      {" 1", false, 0.0},
+      {"1 ", false, 0.0},
+      {"inf", false, 0.0},
+      {"-inf", false, 0.0},
+      {"nan", false, 0.0},
+      {"1e999", false, 0.0},
+      {"0x1p3", false, 0.0},
+      {"", false, 0.0},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.text);
+    const CliFlags flags = one_flag(c.text);
+    if (c.ok) {
+      EXPECT_EQ(flags.get_double("v", 99.0), c.want);
+    } else {
+      EXPECT_THROW(flags.get_double("v", 99.0), Error);
+    }
+  }
+}
+
+TEST(Cli, GetBoolRejectsUnknownValues) {
+  struct Case {
+    const char* text;
+    bool ok;
+    bool want;
+  };
+  const Case cases[] = {
+      {"true", true, true},   {"1", true, true},      {"yes", true, true},
+      {"false", true, false}, {"0", true, false},     {"no", true, false},
+      {"banana", false, false}, {"TRUE", false, false}, {"2", false, false},
+      {"", false, false},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.text);
+    const CliFlags flags = one_flag(c.text);
+    if (c.ok) {
+      EXPECT_EQ(flags.get_bool("v", !c.want), c.want);
+    } else {
+      EXPECT_THROW(flags.get_bool("v", false), Error);
+    }
+  }
+  // A bare flag reads as true; an absent one as the fallback.
+  const char* argv[] = {"prog", "--flag"};
+  const CliFlags flags(2, argv);
+  EXPECT_TRUE(flags.get_bool("flag", false));
+  EXPECT_FALSE(flags.get_bool("absent", false));
+}
+
 TEST(Cli, ParsePositiveIntAcceptsOnlyWholePositiveTokens) {
   struct Case {
     const char* text;

@@ -3,9 +3,16 @@
 // decision error for the fp16 path.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <string>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "core/decision_engine.hpp"
 #include "core/optimizer.hpp"
@@ -58,6 +65,81 @@ std::vector<float> composed_raw(const Surrogate& model,
   }
   const nn::Tensor out = model.predict_with_features(e1, feats);
   return {out.data(), out.data() + n * o};
+}
+
+/// Every parameter redrawn from N(0, 0.5): non-zero biases, and hidden
+/// pre-activations of both signs, so the bias adds and the ReLU are tested.
+void randomize_parameters(Surrogate& model, std::uint64_t seed) {
+  Rng rng(seed);
+  for (auto& [name, param] : model.named_parameters()) {
+    (void)name;
+    nn::Tensor& t = param->value;
+    for (std::int64_t i = 0; i < t.numel(); ++i) {
+      t.data()[i] = static_cast<float>(rng.normal(0.0, 0.5));
+    }
+  }
+}
+
+/// `rows` E_1 rows of N(0, 1) values, concatenated.
+std::vector<float> random_rows(std::size_t rows, std::int64_t d,
+                               std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> out(rows * static_cast<std::size_t>(d));
+  for (float& x : out) x = static_cast<float>(rng.normal(0.0, 1.0));
+  return out;
+}
+
+/// Fused fp32 scores of `rows` concatenated E_1 rows.
+std::vector<float> fused_raw(const Surrogate& model,
+                             const GridScoringCache& cache,
+                             std::span<const float> e1_rows,
+                             std::size_t rows) {
+  std::vector<float> out(rows * static_cast<std::size_t>(cache.grid_size() *
+                                                         model.config()
+                                                             .output_dim));
+  model.predict_grid_from_e1_batch(e1_rows, rows, cache, out);
+  return out;
+}
+
+/// Equal bit patterns (so -0 differs from +0), element by element.
+void expect_same_bits(std::span<const float> got,
+                      std::span<const float> want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  std::size_t differing = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(got[i]) !=
+        std::bit_cast<std::uint32_t>(want[i])) {
+      if (differing++ == 0) {
+        ADD_FAILURE() << what << ": first difference at element " << i
+                      << ": " << got[i] << " vs " << want[i];
+      }
+    }
+  }
+  EXPECT_EQ(differing, 0U) << what;
+}
+
+/// Scores each row alone and all rows in one call, and checks both against
+/// the composed autograd head row by row.
+void expect_fused_matches_composed(const Surrogate& model,
+                                   std::span<const lambda::Config> configs,
+                                   std::size_t rows, std::uint64_t seed) {
+  const auto cache = model.make_scoring_cache(configs, ScoringPrecision::kFp32);
+  const std::int64_t d = model.config().model_dim;
+  const auto e1 = random_rows(rows, d, seed);
+  const auto batched = fused_raw(model, cache, e1, rows);
+  const std::size_t row_out =
+      configs.size() * static_cast<std::size_t>(model.config().output_dim);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::span<const float> row(e1.data() + r * d,
+                                     static_cast<std::size_t>(d));
+    const auto reference = composed_raw(model, row, configs);
+    const std::string what = "grid of " + std::to_string(configs.size()) +
+                             ", row " + std::to_string(r);
+    expect_same_bits(fused_raw(model, cache, row, 1), reference,
+                     what + " alone");
+    expect_same_bits({batched.data() + r * row_out, row_out}, reference,
+                     what + " in a batch of " + std::to_string(rows));
+  }
 }
 
 TEST(ScoringCache, Fp32BitIdenticalToComposedHead) {
@@ -117,6 +199,81 @@ TEST(ScoringCache, MultiRowMatchesPerRowBitwise) {
     }
   }
 }
+
+TEST(ScoringCache, Fp32BitIdenticalToComposedHeadOnStandardGrid) {
+  // The grid the benchmarks score (616 configs), default head dims.
+  const lambda::ConfigGrid standard = lambda::ConfigGrid::standard();
+  Surrogate model(tiny_config(), standard);
+  randomize_parameters(model, 41);
+  model.set_training(false);
+  const auto configs = standard.enumerate();
+  expect_fused_matches_composed(model, configs, 5, 43);
+  // And a row the encoder produced.
+  const auto cache = model.make_scoring_cache(configs, ScoringPrecision::kFp32);
+  const auto e1 = encode_row(model, random_window(32, 47));
+  expect_same_bits(fused_raw(model, cache, e1, 1),
+                   composed_raw(model, e1, configs), "encoded row");
+}
+
+TEST(ScoringCache, Fp32BitIdenticalToComposedHeadAtNonDefaultShapes) {
+  // No head dimension is baked into the fused kernel; the second shape's
+  // hidden width is not a multiple of the kernel's four units per step.
+  struct Shape {
+    std::int64_t d, heads, fe, h;
+  };
+  const lambda::ConfigGrid standard = lambda::ConfigGrid::standard();
+  for (const Shape& shape : {Shape{8, 2, 4, 12}, Shape{6, 2, 3, 13}}) {
+    SCOPED_TRACE(shape.h);
+    SurrogateConfig cfg = tiny_config();
+    cfg.model_dim = shape.d;
+    cfg.num_heads = shape.heads;
+    cfg.feature_embed_dim = shape.fe;
+    cfg.ffn_hidden = shape.h;
+    Surrogate model(cfg, standard);
+    randomize_parameters(model, 53);
+    model.set_training(false);
+    expect_fused_matches_composed(model, standard.enumerate(), 3, 59);
+    expect_fused_matches_composed(model, grid().enumerate(), 3, 61);
+  }
+}
+
+TEST(ScoringCache, Fp32RowIsPaddingAndBatchInvariant) {
+  // Grids whose size is not a multiple of the kernel's 16 configs per
+  // vector: a row's scores must not depend on the padding lanes, on its
+  // position in the batch, or on the batch size.
+  const lambda::ConfigGrid standard = lambda::ConfigGrid::standard();
+  Surrogate model(tiny_config(), standard);
+  randomize_parameters(model, 67);
+  model.set_training(false);
+  const auto all = standard.enumerate();
+  for (const std::size_t n : {std::size_t{1}, std::size_t{17}}) {
+    const std::span<const lambda::Config> configs(all.data(), n);
+    for (const std::size_t rows : {std::size_t{3}, std::size_t{16}}) {
+      expect_fused_matches_composed(model, configs, rows, 71 + rows);
+    }
+  }
+}
+
+#ifdef _OPENMP
+TEST(ScoringCache, Fp32BitIdenticalAcrossThreadCounts) {
+  // 16 rows of the standard grid: large enough that the kernel splits the
+  // work across threads.
+  const lambda::ConfigGrid standard = lambda::ConfigGrid::standard();
+  Surrogate model(tiny_config(), standard);
+  randomize_parameters(model, 73);
+  model.set_training(false);
+  const auto cache =
+      model.make_scoring_cache(standard.enumerate(), ScoringPrecision::kFp32);
+  const auto e1 = random_rows(16, model.config().model_dim, 79);
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const auto one = fused_raw(model, cache, e1, 16);
+  omp_set_num_threads(4);
+  const auto four = fused_raw(model, cache, e1, 16);
+  omp_set_num_threads(saved);
+  expect_same_bits(four, one, "4 threads vs 1");
+}
+#endif
 
 TEST(ScoringCache, QuantizedDecisionsTrackFp32Argmin) {
   Surrogate model(tiny_config(), grid());

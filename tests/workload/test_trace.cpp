@@ -1,10 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "common/error.hpp"
 #include "workload/trace.hpp"
-#include "scratch_dir.hpp"
 
 namespace deepbat::workload {
 namespace {
@@ -93,16 +90,6 @@ TEST(Trace, AppendKeepsMonotonicity) {
   EXPECT_EQ(a.size(), 4u);
   Trace c({0.5});
   EXPECT_THROW(a.append(c), Error);
-}
-
-TEST(Trace, SaveLoadRoundTrip) {
-  Trace t({0.125, 1.25, 7.5});
-  const auto path = test::scratch_path("trace.txt");
-  t.save(path);
-  const Trace loaded = Trace::load(path);
-  ASSERT_EQ(loaded.size(), 3u);
-  EXPECT_DOUBLE_EQ(loaded[2], 7.5);
-  std::remove(path.c_str());
 }
 
 TEST(Trace, FromInterarrivals) {
