@@ -229,7 +229,8 @@ void preamble(const std::string& figure, const std::string& description) {
 }
 
 ReplayArgs parse_replay_args(int argc, const char* const* argv,
-                             ReplayArgs defaults) {
+                             ReplayArgs defaults,
+                             std::initializer_list<EnvKnob> knobs) {
   try {
     const CliFlags flags(argc, argv);
     flags.check_known(
@@ -240,15 +241,17 @@ ReplayArgs parse_replay_args(int argc, const char* const* argv,
     defaults.hours = flags.get_double("hours", defaults.hours);
     defaults.control_interval_s =
         flags.get_double("interval", defaults.control_interval_s);
-    defaults.cold_start_seed = static_cast<std::uint64_t>(flags.get_int(
-        "cold-seed", static_cast<std::int64_t>(defaults.cold_start_seed)));
+    defaults.cold_start_seed =
+        static_cast<std::uint64_t>(flags.get_int_in_range(
+            "cold-seed", static_cast<std::int64_t>(defaults.cold_start_seed),
+            0));
     const std::int64_t shards =
         flags.get_int("shards", static_cast<std::int64_t>(defaults.shards));
     DEEPBAT_CHECK(shards >= 1, "replay args: --shards must be at least 1");
     defaults.shards = static_cast<std::size_t>(shards);
     defaults.fault_scenario = flags.get("faults", defaults.fault_scenario);
-    defaults.fault_seed = static_cast<std::uint64_t>(flags.get_int(
-        "fault-seed", static_cast<std::int64_t>(defaults.fault_seed)));
+    defaults.fault_seed = static_cast<std::uint64_t>(flags.get_int_in_range(
+        "fault-seed", static_cast<std::int64_t>(defaults.fault_seed), 0));
     const std::string precision =
         flags.get("precision", core::to_string(defaults.scoring_precision));
     const auto parsed = core::parse_scoring_precision(precision);
@@ -256,8 +259,8 @@ ReplayArgs parse_replay_args(int argc, const char* const* argv,
                   "replay args: --precision must be fp32 or fp16");
     defaults.scoring_precision = *parsed;
     defaults.retrain = flags.get_bool("retrain", defaults.retrain);
-    defaults.retrain_seed = static_cast<std::uint64_t>(flags.get_int(
-        "retrain-seed", static_cast<std::int64_t>(defaults.retrain_seed)));
+    defaults.retrain_seed = static_cast<std::uint64_t>(flags.get_int_in_range(
+        "retrain-seed", static_cast<std::int64_t>(defaults.retrain_seed), 0));
     defaults.json_path = flags.get("json", defaults.json_path);
     defaults.metrics_path = flags.get("metrics", defaults.metrics_path);
     if (!defaults.fault_scenario.empty()) {
@@ -267,6 +270,14 @@ ReplayArgs parse_replay_args(int argc, const char* const* argv,
     DEEPBAT_CHECK(defaults.slo_s > 0.0, "replay args: --slo must be positive");
     DEEPBAT_CHECK(defaults.control_interval_s > 0.0,
                   "replay args: --interval must be positive");
+    for (const EnvKnob& knob : knobs) {
+      if (const char* text = std::getenv(knob.name)) {
+        *knob.value = parse_positive_int(text, knob.name, knob.max);
+      }
+    }
+    // The fixture's training knobs (DEEPBAT_TRAIN_EPOCHS / _SAMPLES), read
+    // here too so a malformed one fails like a bad flag.
+    (void)core::bench_spec(cache_dir_from_env());
   } catch (const Error& e) {
     std::fprintf(stderr,
                  "%s\nusage: %s [--slo S] [--hours H] [--interval S] "

@@ -10,7 +10,10 @@
 // set DEEPBAT_FORCE_RETRAIN=1 to retrain; set DEEPBAT_TRAIN_EPOCHS /
 // DEEPBAT_TRAIN_SAMPLES for a paper-scale run.
 
+#include <climits>
+#include <cstdint>
 #include <filesystem>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
@@ -128,11 +131,23 @@ struct ReplayArgs {
   std::string metrics_path;
 };
 
-/// Parse the standard replay flags over per-figure defaults. Unknown flags
-/// are an error (CliFlags semantics), so every replay bench exposes exactly
-/// the same surface.
+/// A whole positive environment knob a bench reads next to its flags (e.g.
+/// DEEPBAT_TENANTS): when `name` is set, parse_replay_args stores it in
+/// *value, 1 <= value <= max.
+struct EnvKnob {
+  const char* name;
+  std::int64_t* value;
+  std::int64_t max = INT_MAX;
+};
+
+/// Parse the standard replay flags over per-figure defaults, then the
+/// bench's `knobs` and the fixture's training knobs (core::bench_spec).
+/// Unknown flags are an error (CliFlags semantics), so every replay bench
+/// exposes exactly the same surface; a malformed flag or knob prints the
+/// error and the usage line and exits with status 2.
 ReplayArgs parse_replay_args(int argc, const char* const* argv,
-                             ReplayArgs defaults);
+                             ReplayArgs defaults,
+                             std::initializer_list<EnvKnob> knobs = {});
 
 /// Per-figure defaults for parse_replay_args.
 inline ReplayArgs replay_defaults(double slo_s = 0.1, double hours = 0.0,

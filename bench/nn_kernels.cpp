@@ -3,6 +3,7 @@
 // Times the GEMM kernel, multi-head attention (one window at L = 64/256/512
 // and the encoder's batch of 14 windows at L = 128), the training step
 // (attention forward + backward and one surrogate Adam step at batch 8 of
+// L = 128), the inference encoder composed vs fused (1 and 16 windows of
 // L = 128), and the deployment-critical surrogate forward (predict_grid:
 // encode one l=256 window, score the full config grid — the "0.73 s vs
 // 40.83 s" fast side of §IV-F) in two modes:
@@ -34,6 +35,7 @@
 #include "nn/attention.hpp"
 #include "nn/kernels.hpp"
 #include "nn/optim.hpp"
+#include "nn/transformer.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -274,6 +276,72 @@ void bench_train_step(const std::vector<int>& thread_counts,
     }
   }
   kernels::set_reference_mode(false);
+}
+
+void bench_encoder_forward(double min_sample_s, int samples) {
+  // Informational (no gate key): the sequence branch up to pooling (gap
+  // embedding, positions, two encoder layers, mean pooling) at the bench
+  // surrogate's L = 128, one thread. "composed" is the module chain without
+  // a gradient tape, the path encode_sequence took before the fused
+  // kernel; "fused" is kernels::fused_encoder on the same weights, with
+  // bit-identical output. B16 is about the windows of one shared encode in
+  // perfbench's fleet_surrogate.
+  std::printf("[encoder_forward] L=128, 1 thread\n");
+  constexpr std::int64_t kLen = 128;
+  TransformerConfig cfg;
+  cfg.max_len = kLen;
+  Rng rng(21);
+  Linear embed(1, cfg.model_dim, rng);
+  PositionalEncoding pos(cfg.model_dim, cfg.max_len);
+  TransformerEncoder encoder(cfg, rng, 22);
+  encoder.set_training(false);
+  const auto layers = encoder.fused_weights();
+  const kernels::EncoderWeights weights{
+      cfg.model_dim,
+      cfg.num_heads,
+      cfg.ffn_hidden,
+      embed.weight()->value.data(),
+      embed.bias()->value.data(),
+      pos.table().data(),
+      layers.data(),
+      static_cast<std::int64_t>(layers.size())};
+  set_threads(1);
+  NoGradGuard no_grad;
+  for (const std::int64_t batch : {1, 16}) {
+    const Tensor seq = randn({batch, kLen, 1}, 23);
+    const Var x = make_leaf(seq, false);
+    std::vector<float> pooled(static_cast<std::size_t>(batch * cfg.model_dim));
+    std::string shape = "B";  // += rather than operator+ chains (PR105329)
+    shape += std::to_string(batch);
+    shape += "_L128";
+    const double composed_ns = time_ns(
+        [&] {
+          arena::Scope scope;
+          volatile float sink =
+              mean_axis1(encoder.forward(pos.forward(embed.forward(x))))
+                  ->value.data()[0];
+          (void)sink;
+        },
+        min_sample_s, samples);
+    record({"encoder", std::string("composed_").append(shape), "optimized", 1,
+            composed_ns, -1.0});
+    const double fused_ns = time_ns(
+        [&] {
+          kernels::fused_encoder(seq.data(), batch, kLen, weights,
+                                 pooled.data());
+          volatile float sink = pooled[0];
+          (void)sink;
+        },
+        min_sample_s, samples);
+    record({"encoder", std::string("fused_").append(shape), "optimized", 1,
+            fused_ns, -1.0});
+    std::printf("  encoder forward %s: composed %.1f us -> fused %.1f us per "
+                "window (%.2fx)\n",
+                shape.c_str(),
+                composed_ns / 1e3 / static_cast<double>(batch),
+                fused_ns / 1e3 / static_cast<double>(batch),
+                composed_ns / fused_ns);
+  }
 }
 
 double bench_surrogate(const std::vector<int>& thread_counts,
@@ -558,6 +626,7 @@ int main(int argc, char** argv) {
   bench_attention(thread_counts, min_sample_s, samples);
   bench_grid_scoring(thread_counts, min_sample_s, samples);
   bench_train_step(thread_counts, min_sample_s, samples);
+  bench_encoder_forward(min_sample_s, samples);
   double seed_1t = 0.0;
   double opt_1t = 0.0;
   const double speedup =

@@ -16,14 +16,12 @@
 // Exit code 1 when the enabled overhead exceeds max(2%, 3x noise floor).
 #include <algorithm>
 #include <chrono>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 
 using namespace deepbat;
@@ -73,12 +71,10 @@ double replay_once(bench::Fixture& fx, const workload::Trace& trace,
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::int64_t reps = 3;
   const auto args = bench::parse_replay_args(
-      argc, argv, bench::replay_defaults(0.1, 0.25));
-  int reps = 3;
-  if (const char* r = std::getenv("DEEPBAT_OBS_REPS")) {
-    reps = static_cast<int>(parse_positive_int(r, "DEEPBAT_OBS_REPS", INT_MAX));
-  }
+      argc, argv, bench::replay_defaults(0.1, 0.25),
+      {{"DEEPBAT_OBS_REPS", &reps}});
   bench::preamble("Observability overhead",
                   "hot-path write cost and replay wall-time delta with the "
                   "obs layer on vs off (budget: <2% on, ~=0 off)");

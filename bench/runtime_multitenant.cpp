@@ -12,15 +12,12 @@
 // file BENCH_runtime_scaling.json is owned by bench/runtime_scale, which
 // sweeps Zipf fleets to 100k+ tenants.)
 #include <chrono>
-#include <climits>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "common/cli.hpp"
 #include "common/table.hpp"
 
 using namespace deepbat;
@@ -35,16 +32,15 @@ double wall_seconds(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  std::int64_t tenants = 4;
   const auto args = bench::parse_replay_args(
-      argc, argv, bench::replay_defaults(0.1, 1.0));
+      argc, argv, bench::replay_defaults(0.1, 1.0),
+      {{"DEEPBAT_TENANTS", &tenants}});
   std::vector<std::string> workloads = {"azure", "twitter", "alibaba",
                                         "synthetic"};
-  if (const char* n = std::getenv("DEEPBAT_TENANTS")) {
-    // More tenants than workloads: cycle through the canonical four.
-    const std::int64_t want = parse_positive_int(n, "DEEPBAT_TENANTS", INT_MAX);
-    for (std::int64_t i = 4; i < want; ++i) {
-      workloads.push_back(workloads[static_cast<std::size_t>(i % 4)]);
-    }
+  // More tenants than workloads: cycle through the canonical four.
+  for (std::int64_t i = 4; i < tenants; ++i) {
+    workloads.push_back(workloads[static_cast<std::size_t>(i % 4)]);
   }
   bench::preamble("Multi-tenant runtime — batched control ticks",
                   "N independent solo replays vs one shared-encoder runtime; "

@@ -6,10 +6,12 @@
 //
 //   ./train_surrogate [--epochs 16] [--samples 500] [--seqlen 64]
 //                     [--out /tmp/deepbat_weights.bin] [--seed 3]
+#include <climits>
 #include <cstdio>
 #include <iostream>
 
 #include "common/cli.hpp"
+#include "common/error.hpp"
 #include "common/table.hpp"
 #include "core/deepbat.hpp"
 #include "nn/serialize.hpp"
@@ -17,14 +19,27 @@
 using namespace deepbat;
 
 int main(int argc, char** argv) {
-  const CliFlags flags(argc, argv);
-  flags.check_known({"epochs", "samples", "seqlen", "out", "seed"});
-  const int epochs = static_cast<int>(flags.get_int("epochs", 16));
-  const auto samples =
-      static_cast<std::size_t>(flags.get_int("samples", 500));
-  const auto seqlen = flags.get_int("seqlen", 64);
-  const std::string out = flags.get("out", "/tmp/deepbat_weights.bin");
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 3));
+  int epochs = 0;
+  std::size_t samples = 0;
+  std::int64_t seqlen = 0;
+  std::string out;
+  std::uint64_t seed = 0;
+  try {
+    const CliFlags flags(argc, argv);
+    flags.check_known({"epochs", "samples", "seqlen", "out", "seed"});
+    epochs = static_cast<int>(flags.get_int_in_range("epochs", 16, 1, INT_MAX));
+    samples =
+        static_cast<std::size_t>(flags.get_int_in_range("samples", 500, 1));
+    seqlen = flags.get_int_in_range("seqlen", 64, 1);
+    out = flags.get("out", "/tmp/deepbat_weights.bin");
+    seed = static_cast<std::uint64_t>(flags.get_int_in_range("seed", 3, 0));
+  } catch (const Error& e) {
+    std::fprintf(stderr,
+                 "%s\nusage: %s [--epochs N] [--samples N] [--seqlen N] "
+                 "[--out PATH] [--seed N]\n",
+                 e.what(), argc > 0 ? argv[0] : "train_surrogate");
+    return 2;
+  }
 
   const lambda::LambdaModel model;
   const lambda::ConfigGrid grid = lambda::ConfigGrid::standard();

@@ -8,7 +8,10 @@
 # runs the nn/kernel/arena test binaries plus the obs registry, the
 # fault-injection simulator (test_sim), the sharded runtime tests (whose
 # faulted shard-invariance cases cover the retry/drop paths), and test_core
-# (the fused grid-scoring head's padded config lanes); the TSan stage
+# (the fused grid-scoring head's padded config lanes). Being built without
+# -march=native, it also checks the fused encoder's bits against the
+# composed branch where no FMA is formed (test_nn_kernels'
+# Kernels.FusedEncoder* cases); the TSan stage
 # rebuilds into build-tsan/ and runs the obs
 # tests (concurrent increments against the lock-free metric shards) plus
 # test_runtime and test_common, whose WorkerPool / concurrent-shard stress
@@ -127,14 +130,16 @@ OMP_NUM_THREADS=1 ./build-tsan/tests/test_fleet
 # surfaces; the adaptive E2E tests ride along.
 OMP_NUM_THREADS=1 ./build-tsan/tests/test_learn
 # Covers the golden fp16-weight GEMM and binary16 conversion tests
-# (gemm_f16w / fp16_to_fp32 / fp32_to_fp16) and the fused attention
-# training step (gradcheck, fused vs composed forward and gradients,
-# training vs inference bits, dropout keep-mask) under TSan's runtime.
-# Filtered: the bit-identity suites set OMP thread counts internally, and
-# libgomp's barriers are opaque to TSan (same false positives as above —
-# OMP_NUM_THREADS=1 cannot pin an explicit omp_set_num_threads).
+# (gemm_f16w / fp16_to_fp32 / fp32_to_fp16), the fused attention training
+# step (gradcheck, fused vs composed forward and gradients, training vs
+# inference bits, dropout keep-mask) and the fused inference encoder (bits
+# vs the composed branch, batch independence, dispatch) under TSan's
+# runtime. Filtered: the bit-identity suites set OMP thread counts
+# internally, and libgomp's barriers are opaque to TSan (same false
+# positives as above — OMP_NUM_THREADS=1 cannot pin an explicit
+# omp_set_num_threads), hence the *AcrossThreadCounts exclusion.
 OMP_NUM_THREADS=1 ./build-tsan/tests/test_nn_kernels \
-  --gtest_filter='Kernels.GemmF16w*:Kernels.Fp16*:Kernels.FusedTrain*:Kernels.Dropout*'
+  --gtest_filter='Kernels.GemmF16w*:Kernels.Fp16*:Kernels.FusedTrain*:Kernels.Dropout*:Kernels.FusedEncoder*:-Kernels.*AcrossThreadCounts'
 
 echo "== kernel bench gate =="
 # Kernel bench against the committed speedup baseline: named tall-skinny

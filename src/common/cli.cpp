@@ -59,6 +59,18 @@ std::int64_t CliFlags::get_int(const std::string& name,
   return value;
 }
 
+std::int64_t CliFlags::get_int_in_range(const std::string& name,
+                                        std::int64_t fallback,
+                                        std::int64_t min,
+                                        std::int64_t max) const {
+  const std::int64_t value = get_int(name, fallback);
+  DEEPBAT_CHECK(value >= min && value <= max,
+                "--" + name + ": expected a whole integer in [" +
+                    std::to_string(min) + ", " + std::to_string(max) +
+                    "], got " + std::to_string(value));
+  return value;
+}
+
 double CliFlags::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;

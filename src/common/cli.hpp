@@ -24,6 +24,12 @@ class CliFlags {
   /// get_double a finite decimal number, get_bool one of
   /// true|false|1|0|yes|no (a bare flag reads as true).
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// get_int, and an Error naming the flag and its range unless
+  /// min <= value <= max: counts take min 1, seeds min 0, so a negative
+  /// value never wraps through an unsigned cast.
+  std::int64_t get_int_in_range(const std::string& name, std::int64_t fallback,
+                                std::int64_t min,
+                                std::int64_t max = INT64_MAX) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 

@@ -105,15 +105,19 @@ nn::Var Surrogate::sequence_branch(const nn::Var& sequences) const {
                     sequences->value.dim(2) == 1,
                 "Surrogate: sequences must be [batch, l, 1]");
   const std::int64_t batch = sequences->value.dim(0);
-  nn::Var embedded = seq_embed_.forward(sequences);  // Eq. 1
   nn::Var summary;  // E_p: [batch, model_dim]
-  if (config_.encoder == EncoderType::kLstm) {
+  if (encoder_fusable(sequences->value)) {
+    // Eq. 1, 2 and mean pooling as one kernel, bit for bit the composed
+    // branch below (DESIGN.md §7).
+    summary = nn::make_leaf(fused_summary(sequences->value), false,
+                            "fused_encoder");
+  } else if (config_.encoder == EncoderType::kLstm) {
     // Recurrent baseline: the final hidden state summarizes the sequence.
-    summary = lstm_->encode(embedded);
+    summary = lstm_->encode(seq_embed_.forward(sequences));  // Eq. 1
   } else {
-    // Eq. 2 + mean pooling to E_p.
-    summary =
-        nn::mean_axis1(encoder_.forward(pos_enc_.forward(embedded)));
+    // Eq. 1, Eq. 2 + mean pooling to E_p.
+    summary = nn::mean_axis1(
+        encoder_.forward(pos_enc_.forward(seq_embed_.forward(sequences))));
   }
   // Eq. 4: self-attention over the pooled vector (length-1 sequence; the
   // Mask is the identity at this length).
@@ -123,6 +127,34 @@ nn::Var Surrogate::sequence_branch(const nn::Var& sequences) const {
   nn::Var pooled = nn::reshape(summary, {batch, 1, config_.model_dim});
   nn::Var e1 = pooled_attention_.forward(pooled, pooled, pooled);
   return nn::reshape(e1, {batch, config_.model_dim});
+}
+
+bool Surrogate::encoder_fusable(const nn::Tensor& sequences) const {
+  // No gradient tape (which also leaves every dropout inactive), a
+  // Transformer encoder the kernel can run, and a window the positional
+  // table covers (longer ones take the composed path and its error).
+  return !nn::grad_enabled() && config_.encoder == EncoderType::kTransformer &&
+         encoder_.inference_fusable() && sequences.dim(1) >= 1 &&
+         sequences.dim(1) <= pos_enc_.max_len();
+}
+
+nn::Tensor Surrogate::fused_summary(const nn::Tensor& sequences) const {
+  const std::int64_t batch = sequences.dim(0);
+  const std::int64_t len = sequences.dim(1);
+  const auto layers = encoder_.fused_weights();
+  const nn::kernels::EncoderWeights weights{
+      config_.model_dim,
+      config_.num_heads,
+      config_.ffn_hidden,
+      seq_embed_.weight()->value.data(),
+      seq_embed_.bias()->value.data(),
+      pos_enc_.table().data(),
+      layers.data(),
+      static_cast<std::int64_t>(layers.size())};
+  nn::Tensor pooled({batch, config_.model_dim});
+  nn::kernels::fused_encoder(sequences.data(), batch, len, weights,
+                             pooled.data());
+  return pooled;
 }
 
 nn::Var Surrogate::head(const nn::Var& e1, const nn::Var& raw_features) const {

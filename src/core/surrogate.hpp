@@ -197,8 +197,17 @@ class Surrogate : public nn::Module {
   /// recorded forward. Empty if recording was off.
   std::vector<float> last_attention_profile() const;
 
- private:
+  /// Sequence branch as a graph: [batch, l, 1] -> E_1 [batch, d]. With a
+  /// gradient tape it is the composed training path; without one, a
+  /// Transformer encoder runs as kernels::fused_encoder, bit for bit the
+  /// same values (DESIGN.md §7), unless attention is being recorded or
+  /// reference mode is on.
   nn::Var sequence_branch(const nn::Var& sequences) const;
+
+ private:
+  bool encoder_fusable(const nn::Tensor& sequences) const;
+  /// E_p [batch, d] through kernels::fused_encoder.
+  nn::Tensor fused_summary(const nn::Tensor& sequences) const;
   nn::Var head(const nn::Var& e1, const nn::Var& raw_features) const;
 
   SurrogateConfig config_;

@@ -31,6 +31,18 @@ class MultiHeadAttention : public Module {
 
   std::int64_t num_heads() const { return heads_; }
 
+  /// True when forward() may run inside the fused inference encoder:
+  /// attention recording off and attention dropout inactive.
+  bool inference_fusable() const {
+    return !record_attention_ && !attn_dropout_.is_active();
+  }
+
+  /// The projections, for the fused inference encoder.
+  const Linear& wq() const { return wq_; }
+  const Linear& wk() const { return wk_; }
+  const Linear& wv() const { return wv_; }
+  const Linear& wo() const { return wo_; }
+
  private:
   std::int64_t dim_;
   std::int64_t heads_;

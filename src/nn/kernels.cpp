@@ -39,6 +39,12 @@ obs::Histogram& grid_head_hist() {
   return h;
 }
 
+obs::Histogram& encoder_hist() {
+  static obs::Histogram& h = obs::MetricsRegistry::instance().histogram(
+      "nn.kernels.encoder_seconds");
+  return h;
+}
+
 obs::Histogram& sdpa_backward_hist() {
   static obs::Histogram& h = obs::MetricsRegistry::instance().histogram(
       "nn.kernels.attention_backward_seconds");
@@ -593,6 +599,34 @@ void key_sum(const RowVec* x, const W* w, std::int64_t lkp, RowVec& sum) {
   for (std::int64_t p = 0; p < P; ++p) sum += part[p];
 }
 
+/// Softmax numerators of one row block: scores (block_scores), each row's
+/// max over the real keys into mx, et[j] = expf(s_j - max) in place
+/// (block_exp), and inv = 1 / Σ_j e_j in key_sum's order.
+void block_softmax(const RowVec* qt, const float* kt, std::int64_t dh,
+                   std::int64_t lkp, const float* mask, std::int64_t rows,
+                   std::int64_t lk, RowVec* et, float* mx, RowVec& inv) {
+  block_scores(qt, kt, dh, lkp, mask, rows, lk, et);
+  // Row max over the real keys, exact in any order: four running maxima,
+  // then folded.
+  const float inf = std::numeric_limits<float>::infinity();
+  RowVec m[4] = {RowVec{} - inf, RowVec{} - inf, RowVec{} - inf,
+                 RowVec{} - inf};
+  std::int64_t j = 0;
+  for (; j + 4 <= lk; j += 4) {
+    for (std::int64_t u = 0; u < 4; ++u) {
+      m[u] = m[u] < et[j + u] ? et[j + u] : m[u];
+    }
+  }
+  for (; j < lk; ++j) m[0] = m[0] < et[j] ? et[j] : m[0];
+  m[0] = m[0] < m[1] ? m[1] : m[0];
+  m[2] = m[2] < m[3] ? m[3] : m[2];
+  m[0] = m[0] < m[2] ? m[2] : m[0];
+  std::memcpy(mx, &m[0], sizeof(RowVec));
+  block_exp(et, lk, lkp, mx);
+  key_sum<float>(et, nullptr, lkp, inv);
+  inv = 1.0F / inv;
+}
+
 // Dropout works on one key of a row block at a time: lane r of these
 // vectors belongs to query row 16 * block + r, like RowVec's.
 typedef std::uint64_t LaneU64
@@ -688,29 +722,10 @@ void fused_sdpa_impl(const float* q, const float* k, const float* v,
         for (std::int64_t i0 = 0; i0 < lq; i0 += R) {
           const std::int64_t rows = std::min(R, lq - i0);
           load_rows(qb + i0 * dim, rows, dh, dim, scale, qt);
-          block_scores(qt, kt, dh, lkp, mask ? mask + i0 * lk : nullptr, rows,
-                       lk, et);
-          // Row max over the real keys, exact in any order: four running
-          // maxima, then folded.
-          const float inf = std::numeric_limits<float>::infinity();
-          RowVec m[4] = {RowVec{} - inf, RowVec{} - inf, RowVec{} - inf,
-                         RowVec{} - inf};
-          std::int64_t j = 0;
-          for (; j + 4 <= lk; j += 4) {
-            for (std::int64_t u = 0; u < 4; ++u) {
-              m[u] = m[u] < et[j + u] ? et[j + u] : m[u];
-            }
-          }
-          for (; j < lk; ++j) m[0] = m[0] < et[j] ? et[j] : m[0];
-          m[0] = m[0] < m[1] ? m[1] : m[0];
-          m[2] = m[2] < m[3] ? m[3] : m[2];
-          m[0] = m[0] < m[2] ? m[2] : m[0];
           float mx[R];
-          std::memcpy(mx, &m[0], sizeof mx);
-          block_exp(et, lk, lkp, mx);
           RowVec inv;
-          key_sum<float>(et, nullptr, lkp, inv);
-          inv = 1.0F / inv;
+          block_softmax(qt, kt, dh, lkp, mask ? mask + i0 * lk : nullptr, rows,
+                        lk, et, mx, inv);
           if (saved != nullptr) {
             const std::int64_t row0 = task * lq + i0;
             for (std::int64_t r = 0; r < rows; ++r) {
@@ -914,6 +929,214 @@ void fused_sdpa_backward(const float* q, const float* k, const float* v,
   timed(sdpa_backward_hist, [&] {
     fused_sdpa_backward_impl(q, k, v, dout, batch, lq, lk, heads, dim, scale,
                              mask, saved, dq, dk, dv);
+  });
+}
+
+namespace {
+
+// Fused inference encoder (DESIGN.md §7). A window's activations live in
+// per-thread scratch, feature-major: feature c of positions [16 b, 16 b +
+// 16) is the RowVec x[c * nb + b], nb = ceil(len / 16). Every vector
+// operation below is elementwise across 16 positions, so each element's
+// arithmetic is fixed by the source. K and V are kept as float [dim, lp]
+// panels, lp = 16 nb, so a head's rows are fused_sdpa's [dh, lkp] panels.
+thread_local std::vector<RowVec> tl_encoder_vecs;
+thread_local std::vector<float> tl_encoder_kv;
+
+/// Outputs j .. j + J - 1 of a Linear on one block of positions:
+///   out_j = (((0 + x_0 w[0,j]) + x_1 w[1,j]) + ... + x_k-1 w[k-1,j]) + b_j
+/// gemm's l-sequential chain from 0 (micro_full), then the bias as its own
+/// add (Linear::forward). x and out step by xs and os vectors per feature;
+/// J > 1 only shares the loads of x between outputs.
+template <int J>
+inline void linear_units(const RowVec* x, std::int64_t xs, std::int64_t k,
+                         const float* w, std::int64_t n, const float* b,
+                         RowVec* out, std::int64_t os) {
+  RowVec acc[J];
+  for (int q = 0; q < J; ++q) acc[q] = RowVec{};
+  for (std::int64_t l = 0; l < k; ++l) {
+    const RowVec xl = x[l * xs];
+    const float* wl = w + l * n;
+    for (int q = 0; q < J; ++q) acc[q] += xl * wl[q];
+  }
+  for (int q = 0; q < J; ++q) out[q * os] = acc[q] + b[q];
+}
+
+/// out [n] = x [k] W [k, n] + b on one block, eight outputs at a time.
+void block_linear(const RowVec* x, std::int64_t xs, std::int64_t k,
+                  const float* w, const float* b, std::int64_t n, RowVec* out,
+                  std::int64_t os) {
+  std::int64_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    linear_units<8>(x, xs, k, w + j, n, b + j, out + j * os, os);
+  }
+  for (; j < n; ++j) {
+    linear_units<1>(x, xs, k, w + j, n, b + j, out + j * os, os);
+  }
+}
+
+/// nn::layer_norm over one block's n features r into out (step os), its
+/// steps in source order:
+///   mean  = ((((0 + r_0) + r_1) + ...) + r_n-1) / n
+///   var   = ((((0 + e_0 e_0) + e_1 e_1) + ...) + e_n-1 e_n-1) / n,
+///           e_c = r_c - mean, each square rounded before it is added
+///           (no_contract)
+///   istd  = 1 / sqrt(var + eps)
+///   out_c = ((r_c - mean) istd) gamma_c + beta_c
+void block_layer_norm(const RowVec* r, std::int64_t n, const float* gamma,
+                      const float* beta, float eps, RowVec* out,
+                      std::int64_t os) {
+  RowVec mean{};
+  for (std::int64_t c = 0; c < n; ++c) mean += r[c];
+  mean /= static_cast<float>(n);
+  RowVec var{};
+  for (std::int64_t c = 0; c < n; ++c) {
+    const RowVec e = r[c] - mean;
+    var += no_contract(e * e);
+  }
+  var /= static_cast<float>(n);
+  float v[kSdpaRows];
+  std::memcpy(v, &var, sizeof v);
+  for (std::int64_t i = 0; i < kSdpaRows; ++i) {
+    v[i] = 1.0F / std::sqrt(v[i] + eps);
+  }
+  RowVec istd;
+  std::memcpy(&istd, v, sizeof v);
+  for (std::int64_t c = 0; c < n; ++c) {
+    const RowVec h = (r[c] - mean) * istd;
+    out[c * os] = h * gamma[c] + beta[c];
+  }
+}
+
+/// One window, seq [len] -> pooled [dim]. Per layer, the first pass
+/// projects every block's Q, K and V; the second runs each block's
+/// attention against the whole window's K and V, then its output
+/// projection, residual, LN1, FFN, residual and LN2, overwriting that
+/// block of x (the K and V the later blocks read are already formed).
+void encoder_window(const float* seq, std::int64_t len,
+                    const EncoderWeights& w, float* pooled) {
+  constexpr std::int64_t R = kSdpaRows;
+  const std::int64_t d = w.dim;
+  const std::int64_t f = w.ffn;
+  const std::int64_t dh = d / w.heads;
+  const std::int64_t nb = (len + R - 1) / R;
+  const std::int64_t lp = nb * R;  // positions padded to whole blocks
+  const float scale = 1.0F / std::sqrt(static_cast<float>(dh));
+  // x, q [d, nb]; per block: the attention context ctx [d], the sums
+  // before each norm y [d], LN1's output h [d], the FFN hidden z [f], the
+  // exponentials et [lp] and the scaled queries qt [dh].
+  const auto need = static_cast<std::size_t>(2 * d * nb + 3 * d + f + lp + dh);
+  if (tl_encoder_vecs.size() < need) tl_encoder_vecs.resize(need);
+  const auto kv_need = static_cast<std::size_t>(2 * d * lp);
+  if (tl_encoder_kv.size() < kv_need) tl_encoder_kv.resize(kv_need);
+  RowVec* x = tl_encoder_vecs.data();
+  RowVec* q = x + d * nb;
+  RowVec* ctx = q + d * nb;
+  RowVec* y = ctx + d;
+  RowVec* h = y + d;
+  RowVec* z = h + d;
+  RowVec* et = z + f;
+  RowVec* qt = et + lp;
+  float* k = tl_encoder_kv.data();
+  float* v = k + d * lp;
+
+  // Embedding and positions, x = ((0 + s w_e) + b_e) + pos: the k = 1
+  // gemm chain, the bias add, then PositionalEncoding's add. Padding rows
+  // get gap 0 and position 0; they never leave their lanes.
+  for (std::int64_t b = 0; b < nb; ++b) {
+    const std::int64_t rows = std::min(R, len - b * R);
+    RowVec s{};
+    for (std::int64_t r = 0; r < rows; ++r) s[r] = seq[b * R + r];
+    for (std::int64_t c = 0; c < d; ++c) {
+      RowVec p{};
+      for (std::int64_t r = 0; r < rows; ++r) {
+        p[r] = w.pos[(b * R + r) * d + c];
+      }
+      x[c * nb + b] = ((RowVec{} + s * w.embed_w[c]) + w.embed_b[c]) + p;
+    }
+  }
+
+  for (std::int64_t li = 0; li < w.num_layers; ++li) {
+    const EncoderLayerWeights& lw = w.layers[li];
+    for (std::int64_t b = 0; b < nb; ++b) {
+      block_linear(x + b, nb, d, lw.wq, lw.bq, d, q + b, nb);
+      block_linear(x + b, nb, d, lw.wk, lw.bk, d, y, 1);
+      block_linear(x + b, nb, d, lw.wv, lw.bv, d, h, 1);
+      for (std::int64_t c = 0; c < d; ++c) {
+        std::memcpy(k + c * lp + b * R, &y[c], sizeof(RowVec));
+        std::memcpy(v + c * lp + b * R, &h[c], sizeof(RowVec));
+      }
+    }
+    // Padding keys are exact zeros, as fused_sdpa's pack_kv makes them.
+    for (std::int64_t c = 0; c < d; ++c) {
+      std::fill(k + c * lp + len, k + (c + 1) * lp, 0.0F);
+      std::fill(v + c * lp + len, v + (c + 1) * lp, 0.0F);
+    }
+    for (std::int64_t b = 0; b < nb; ++b) {
+      const std::int64_t rows = std::min(R, len - b * R);
+      // fused_sdpa per head: queries times scale (load_rows), the softmax
+      // numerators and 1/sum, then context Σ_j e_j v_jd times 1/sum.
+      for (std::int64_t col = 0; col < d; col += dh) {
+        for (std::int64_t e = 0; e < dh; ++e) {
+          qt[e] = q[(col + e) * nb + b] * scale;
+        }
+        float mx[R];
+        RowVec inv;
+        block_softmax(qt, k + col * lp, dh, lp, nullptr, rows, len, et, mx,
+                      inv);
+        for (std::int64_t e = 0; e < dh; ++e) {
+          RowVec sum;
+          key_sum(et, v + (col + e) * lp, lp, sum);
+          ctx[col + e] = sum * inv;
+        }
+      }
+      // x + (ctx Wo + bo), LN1.
+      block_linear(ctx, 1, d, lw.wo, lw.bo, d, y, 1);
+      for (std::int64_t c = 0; c < d; ++c) y[c] = x[c * nb + b] + y[c];
+      block_layer_norm(y, d, lw.norm1_gamma, lw.norm1_beta, lw.norm1_eps, h,
+                       1);
+      // h + (relu(h W1 + b1) W2 + b2), LN2 into this block of x.
+      block_linear(h, 1, d, lw.w1, lw.b1, f, z, 1);
+      for (std::int64_t j = 0; j < f; ++j) {
+        z[j] = z[j] > RowVec{} ? z[j] : RowVec{};
+      }
+      block_linear(z, 1, f, lw.w2, lw.b2, d, y, 1);
+      for (std::int64_t c = 0; c < d; ++c) y[c] = h[c] + y[c];
+      block_layer_norm(y, d, lw.norm2_gamma, lw.norm2_beta, lw.norm2_eps,
+                       x + b, nb);
+    }
+  }
+
+  // Mean pooling in nn::mean_axis1's order over the real positions:
+  // pooled_c = (((0 + x_0c inv) + x_1c inv) + ...) + x_L-1,c inv, inv = 1/L.
+  const float inv = 1.0F / static_cast<float>(len);
+  std::fill(pooled, pooled + d, 0.0F);
+  for (std::int64_t l = 0; l < len; ++l) {
+    for (std::int64_t c = 0; c < d; ++c) {
+      pooled[c] += x[c * nb + l / R][l % R] * inv;
+    }
+  }
+}
+
+}  // namespace
+
+void fused_encoder(const float* seq, std::int64_t batch, std::int64_t len,
+                   const EncoderWeights& weights, float* pooled) {
+  const std::int64_t d = weights.dim;
+  const std::int64_t f = weights.ffn;
+  // Per window and layer: the four d x d projections and the FFN, plus
+  // attention's ~4 flops per (query, key, feature).
+  const std::int64_t flops =
+      weights.num_layers *
+      (2 * len * (4 * d * d + 2 * d * f) + 4 * len * len * d);
+  timed(encoder_hist, [&] {
+    parallel_for(
+        static_cast<std::size_t>(batch),
+        [&](std::size_t t) {
+          const auto i = static_cast<std::int64_t>(t);
+          encoder_window(seq + i * len, len, weights, pooled + i * d);
+        },
+        task_grain(batch, flops));
   });
 }
 

@@ -12,9 +12,10 @@
 // The naive reference kernels (the seed implementations) stay available for
 // golden-value tests and for the regression harness's before/after
 // comparison; `set_reference_mode(true)` routes the optimized entry points
-// back to them at runtime. fused_grid_head is the exception: it has no
-// naive twin, and its reference is the composed autograd head, which the
-// scoring tests compare it against bit for bit.
+// back to them at runtime. fused_grid_head and fused_encoder are the
+// exceptions: they have no naive twin, and their references are the
+// composed autograd head and sequence branch, which the tests compare them
+// against bit for bit.
 
 #include <cstdint>
 #include <cstring>
@@ -60,6 +61,75 @@ void fused_sdpa(const float* q, const float* k, const float* v, float* out,
                 std::int64_t batch, std::int64_t lq, std::int64_t lk,
                 std::int64_t heads, std::int64_t dim, float scale,
                 const float* mask = nullptr);
+
+/// `x`, rounded where it stands: a product passed through this is never
+/// contracted into a fused multiply-add with the sum that consumes it,
+/// whatever the target and the vectorizer's choices. T is float or a GCC
+/// vector of floats.
+template <typename T>
+inline T no_contract(T x) {
+#if defined(__GNUC__) && !defined(__clang__)
+  return __builtin_assoc_barrier(x);
+#else
+  return x;
+#endif
+}
+
+/// One post-norm encoder layer's parameters, row-major as the modules hold
+/// them (nn::TransformerEncoderLayer): the attention projections W [dim,
+/// dim] with biases [dim], FFN fc1 [dim, ffn] and fc2 [ffn, dim] with their
+/// biases, and both layer norms' affine [dim] and epsilon.
+struct EncoderLayerWeights {
+  const float* wq;
+  const float* bq;
+  const float* wk;
+  const float* bk;
+  const float* wv;
+  const float* bv;
+  const float* wo;
+  const float* bo;
+  const float* norm1_gamma;
+  const float* norm1_beta;
+  float norm1_eps;
+  const float* w1;
+  const float* b1;
+  const float* w2;
+  const float* b2;
+  const float* norm2_gamma;
+  const float* norm2_beta;
+  float norm2_eps;
+};
+
+/// The surrogate's sequence branch up to pooling: a Linear(1, dim) gap
+/// embedding, the positional table pos [>= len, dim], `num_layers` encoder
+/// layers with `heads` heads and FFN width `ffn`, and mean pooling.
+struct EncoderWeights {
+  std::int64_t dim;
+  std::int64_t heads;
+  std::int64_t ffn;
+  const float* embed_w;  // [dim] (the [1, dim] Linear weight)
+  const float* embed_b;  // [dim]
+  const float* pos;
+  const EncoderLayerWeights* layers;
+  std::int64_t num_layers;
+};
+
+/// Fused inference encoder (DESIGN.md §7): for each of `batch` windows
+/// seq [batch, len] (one gap per position), writes the mean-pooled encoder
+/// output pooled [batch, dim], without building a graph:
+///
+///   x = (seq W_e + b_e) + pos;  per layer (post-norm, no dropout, no mask):
+///   x = LN1(x + (SDPA(x Wq + bq, x Wk + bk, x Wv + bv) Wo + bo))
+///   x = LN2(x + (relu(x W1 + b1) W2 + b2));   pooled = mean over positions
+///
+/// Each element is the chain the composed autograd path computes: every
+/// projection gemm()'s l-sequential chain from 0 then the bias as a separate
+/// add, fused_sdpa's attention, nn::layer_norm's steps in source order and
+/// nn::mean_axis1's position order. A window is one task; blocks of 16
+/// positions are the vector axis, so a window's result depends on neither
+/// the other windows of the call nor the thread count.
+void fused_encoder(const float* seq, std::int64_t batch, std::int64_t len,
+                   const EncoderWeights& weights, float* pooled);
 
 /// Configs per vector in fused_grid_head: the width of its config panel's
 /// blocks (the panel's column count is padded to a multiple of this).

@@ -40,6 +40,11 @@ class LayerNorm : public Module {
 
   Var forward(const Var& x) const;
 
+  /// Parameter access for the fused inference encoder.
+  const Var& gamma() const { return gamma_; }
+  const Var& beta() const { return beta_; }
+  float eps() const { return eps_; }
+
  private:
   float eps_;
   Var gamma_;

@@ -446,10 +446,12 @@ Var layer_norm(const Var& x, const Var& gamma, const Var& beta, float eps) {
     float mean = 0.0F;
     for (std::int64_t c = 0; c < cols; ++c) mean += in[c];
     mean /= static_cast<float>(cols);
+    // Each square is rounded before it is added, on every path the
+    // vectorizer may pick (the fused encoder repeats this chain).
     float var = 0.0F;
     for (std::int64_t c = 0; c < cols; ++c) {
       const float d = in[c] - mean;
-      var += d * d;
+      var += kernels::no_contract(d * d);
     }
     var /= static_cast<float>(cols);
     const float istd = 1.0F / std::sqrt(var + eps);

@@ -1,5 +1,6 @@
 #include "nn/transformer.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -62,6 +63,24 @@ Var TransformerEncoderLayer::forward(const Var& x, const Var& mask) const {
   return norm2_.forward(add(h, drop2_.forward(ffn_.forward(h))));
 }
 
+bool TransformerEncoderLayer::inference_fusable() const {
+  return attn_.inference_fusable() && !drop1_.is_active() &&
+         !drop2_.is_active();
+}
+
+kernels::EncoderLayerWeights TransformerEncoderLayer::fused_weights() const {
+  const auto data = [](const Var& p) { return p->value.data(); };
+  return {data(attn_.wq().weight()), data(attn_.wq().bias()),
+          data(attn_.wk().weight()), data(attn_.wk().bias()),
+          data(attn_.wv().weight()), data(attn_.wv().bias()),
+          data(attn_.wo().weight()), data(attn_.wo().bias()),
+          data(norm1_.gamma()),      data(norm1_.beta()),
+          norm1_.eps(),              data(ffn_.fc1().weight()),
+          data(ffn_.fc1().bias()),   data(ffn_.fc2().weight()),
+          data(ffn_.fc2().bias()),   data(norm2_.gamma()),
+          data(norm2_.beta()),       norm2_.eps()};
+}
+
 TransformerEncoder::TransformerEncoder(const TransformerConfig& cfg, Rng& rng,
                                        std::uint64_t seed) {
   DEEPBAT_CHECK(cfg.num_layers > 0, "TransformerEncoder: need >= 1 layer");
@@ -71,6 +90,21 @@ TransformerEncoder::TransformerEncoder(const TransformerConfig& cfg, Rng& rng,
         cfg, rng, seed + static_cast<std::uint64_t>(i) * 101));
     register_module("layer" + std::to_string(i), layers_.back().get());
   }
+}
+
+bool TransformerEncoder::inference_fusable(const Var& mask) const {
+  if (mask || kernels::reference_mode()) return false;
+  return std::all_of(layers_.begin(), layers_.end(), [](const auto& layer) {
+    return layer->inference_fusable();
+  });
+}
+
+std::vector<kernels::EncoderLayerWeights> TransformerEncoder::fused_weights()
+    const {
+  std::vector<kernels::EncoderLayerWeights> out;
+  out.reserve(layers_.size());
+  for (const auto& layer : layers_) out.push_back(layer->fused_weights());
+  return out;
 }
 
 Var TransformerEncoder::forward(const Var& x, const Var& mask) const {

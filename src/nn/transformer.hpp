@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "nn/attention.hpp"
+#include "nn/kernels.hpp"
 
 namespace deepbat::nn {
 
@@ -18,6 +19,10 @@ class PositionalEncoding : public Module {
 
   /// x: [B, L, D] with L <= max_len; returns x + PE[0:L].
   Var forward(const Var& x) const;
+
+  /// The [max_len, D] table, for the fused inference encoder.
+  const Tensor& table() const { return table_; }
+  std::int64_t max_len() const { return max_len_; }
 
  private:
   std::int64_t max_len_;
@@ -43,6 +48,13 @@ class TransformerEncoderLayer : public Module {
 
   Var forward(const Var& x, const Var& mask = nullptr) const;
 
+  /// True when no dropout of the layer is active and its attention is not
+  /// recording: the layer's part of TransformerEncoder::inference_fusable.
+  bool inference_fusable() const;
+
+  /// Pointers into this layer's parameters for kernels::fused_encoder.
+  kernels::EncoderLayerWeights fused_weights() const;
+
   MultiHeadAttention& self_attention() { return attn_; }
   const MultiHeadAttention& self_attention() const { return attn_; }
 
@@ -62,6 +74,15 @@ class TransformerEncoder : public Module {
                      std::uint64_t seed);
 
   Var forward(const Var& x, const Var& mask = nullptr) const;
+
+  /// True when forward(x, mask) without a gradient tape may run as
+  /// kernels::fused_encoder, bit for bit (DESIGN.md §7): no mask, reference
+  /// mode off, no dropout active and no attention recording in any layer.
+  /// Whether a gradient is needed is the caller's half of the condition.
+  bool inference_fusable(const Var& mask = nullptr) const;
+
+  /// Every layer's fused_weights(), in order.
+  std::vector<kernels::EncoderLayerWeights> fused_weights() const;
 
   std::int64_t num_layers() const {
     return static_cast<std::int64_t>(layers_.size());

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "common/cli.hpp"
 #include "common/error.hpp"
@@ -109,6 +110,53 @@ TEST(Cli, GetIntAcceptsOnlyWholeIntegerTokens) {
       EXPECT_THROW(flags.get_int("v", 99), Error);
     }
   }
+}
+
+TEST(Cli, GetIntInRangeRejectsNonPositiveCountsAndNegativeSeeds) {
+  // The ranges examples/train_surrogate and the replay benches read their
+  // flags in: counts from 1 (--epochs also at most INT_MAX, it lands in an
+  // int), seeds from 0, so a negative one never wraps.
+  constexpr std::int64_t kIntMax = 2147483647;
+  struct Case {
+    const char* flag;
+    const char* text;
+    std::int64_t min;
+    std::int64_t max;
+    bool ok;
+  };
+  const Case cases[] = {
+      {"epochs", "1", 1, kIntMax, true},
+      {"epochs", "0", 1, kIntMax, false},
+      {"epochs", "-4", 1, kIntMax, false},
+      {"epochs", "2147483648", 1, kIntMax, false},
+      {"samples", "500", 1, INT64_MAX, true},
+      {"samples", "0", 1, INT64_MAX, false},
+      {"samples", "-1", 1, INT64_MAX, false},
+      {"seqlen", "0", 1, INT64_MAX, false},
+      {"seqlen", "-64", 1, INT64_MAX, false},
+      {"seed", "0", 0, INT64_MAX, true},
+      {"seed", "-1", 0, INT64_MAX, false},
+      {"cold-seed", "-1", 0, INT64_MAX, false},
+      {"fault-seed", "-7", 0, INT64_MAX, false},
+      {"retrain-seed", "-9223372036854775808", 0, INT64_MAX, false},
+      {"retrain-seed", "9223372036854775807", 0, INT64_MAX, true},
+      {"retrain-seed", "x", 0, INT64_MAX, false},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(std::string(c.flag) + " = " + c.text);
+    const std::string arg = std::string("--") + c.flag + "=" + c.text;
+    const char* argv[] = {"prog", arg.c_str()};
+    const CliFlags flags(2, argv);
+    if (c.ok) {
+      EXPECT_EQ(flags.get_int_in_range(c.flag, 99, c.min, c.max),
+                flags.get_int(c.flag, 99));
+    } else {
+      EXPECT_THROW(flags.get_int_in_range(c.flag, 99, c.min, c.max), Error);
+    }
+  }
+  // An absent flag reads its fallback.
+  const char* none[] = {"prog"};
+  EXPECT_EQ(CliFlags(1, none).get_int_in_range("epochs", 16, 1, kIntMax), 16);
 }
 
 TEST(Cli, GetDoubleAcceptsOnlyWholeFiniteTokens) {

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +24,8 @@
 #include "nn/layers.hpp"
 #include "nn/ops.hpp"
 #include "nn/tensor.hpp"
+#include "nn/transformer.hpp"
+#include "obs/metrics.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -673,6 +676,234 @@ TEST(Kernels, FusedSdpaTrainBitIdenticalAcrossThreadCounts) {
             0);
 }
 #endif  // _OPENMP
+
+// ---------------------------------------------------------------------------
+// Fused inference encoder: bit for bit the composed autograd branch
+// ---------------------------------------------------------------------------
+
+/// Compares bit patterns, so -0 vs +0 and NaN payloads count as mismatches.
+void expect_same_bits(const float* got, const float* want, std::int64_t n,
+                      const std::string& what) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    std::uint32_t a = 0;
+    std::uint32_t b = 0;
+    std::memcpy(&a, got + i, sizeof a);
+    std::memcpy(&b, want + i, sizeof b);
+    ASSERT_EQ(a, b) << what << ", element " << i << ": " << got[i] << " vs "
+                    << want[i];
+  }
+}
+
+/// Overwrites every parameter with N(0, 0.5) draws, plus 1 for the layer
+/// norms' gammas: non-zero biases and betas, gammas away from 1.
+void randomize_parameters(const Module& module, std::uint64_t seed) {
+  Rng rng(seed);
+  for (const auto& [name, param] : module.named_parameters()) {
+    const float offset = name.ends_with("gamma") ? 1.0F : 0.0F;
+    float* p = param->value.data();
+    for (std::int64_t i = 0; i < param->value.numel(); ++i) {
+      p[i] = offset + static_cast<float>(rng.normal(0.0, 0.5));
+    }
+  }
+}
+
+/// The surrogate's sequence branch up to pooling, as modules: a gap
+/// embedding, positions, the encoder stack and mean pooling.
+class EncoderBranch : public Module {
+ public:
+  EncoderBranch(const TransformerConfig& cfg, std::uint64_t seed)
+      : rng_(seed),
+        embed_(1, cfg.model_dim, rng_),
+        pos_(cfg.model_dim, cfg.max_len),
+        encoder_(cfg, rng_, seed + 1),
+        cfg_(cfg) {
+    register_module("embed", &embed_);
+    register_module("encoder", &encoder_);
+    randomize_parameters(*this, seed + 2);
+    set_training(false);
+  }
+
+  /// The composed path with a gradient tape, the oracle.
+  std::vector<float> composed(const Tensor& seq) const {
+    const Var out = mean_axis1(encoder_.forward(
+        pos_.forward(embed_.forward(make_leaf(seq.clone(), true)))));
+    EXPECT_TRUE(out->requires_grad);
+    return {out->value.data(), out->value.data() + out->value.numel()};
+  }
+
+  std::vector<float> fused(const Tensor& seq) const {
+    const auto layers = encoder_.fused_weights();
+    const kernels::EncoderWeights w{cfg_.model_dim,
+                                    cfg_.num_heads,
+                                    cfg_.ffn_hidden,
+                                    embed_.weight()->value.data(),
+                                    embed_.bias()->value.data(),
+                                    pos_.table().data(),
+                                    layers.data(),
+                                    static_cast<std::int64_t>(layers.size())};
+    std::vector<float> out(static_cast<std::size_t>(seq.dim(0) *
+                                                    cfg_.model_dim));
+    kernels::fused_encoder(seq.data(), seq.dim(0), seq.dim(1), w, out.data());
+    return out;
+  }
+
+ private:
+  Rng rng_;
+  Linear embed_;
+  PositionalEncoding pos_;
+  TransformerEncoder encoder_;
+  TransformerConfig cfg_;
+};
+
+TransformerConfig encoder_config(std::int64_t dim, std::int64_t heads,
+                                 std::int64_t ffn) {
+  TransformerConfig cfg;
+  cfg.model_dim = dim;
+  cfg.num_heads = heads;
+  cfg.ffn_hidden = ffn;
+  cfg.max_len = 128;
+  return cfg;
+}
+
+/// [batch, len, 1] gaps.
+Tensor random_windows(std::int64_t batch, std::int64_t len,
+                      std::uint64_t seed) {
+  const auto v = random_vec(batch * len, seed);
+  Tensor t({batch, len, 1});
+  std::copy(v.begin(), v.end(), t.data());
+  return t;
+}
+
+TEST(Kernels, FusedEncoderMatchesComposedBits) {
+  // The surrogate's dims; a narrow one whose fc2 (n = 8, k = 32) the
+  // composed path runs through gemm's skinny-output kernel; and one whose
+  // widths are no multiple of the vector lengths.
+  for (const auto& cfg : {encoder_config(16, 4, 32), encoder_config(8, 2, 32),
+                          encoder_config(12, 3, 20)}) {
+    const EncoderBranch branch(
+        cfg, 70 + static_cast<std::uint64_t>(cfg.model_dim));
+    for (const std::int64_t len : {1, 17, 128}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "d=" << cfg.model_dim << " L=" << len);
+      const Tensor seq = random_windows(3, len, 80 + len);
+      const auto want = branch.composed(seq);
+      const auto got = branch.fused(seq);
+      expect_same_bits(got.data(), want.data(),
+                       static_cast<std::int64_t>(want.size()), "pooled");
+    }
+  }
+}
+
+TEST(Kernels, FusedEncoderRowsIndependentOfBatch) {
+  // A window's bits do not depend on the windows encoded with it: alone,
+  // inside a batch of 3 and inside a batch of 16.
+  const EncoderBranch branch(encoder_config(16, 4, 32), 90);
+  const std::int64_t len = 40;
+  const std::int64_t d = 16;
+  const Tensor all = random_windows(16, len, 91);
+  const auto batched = branch.fused(all);
+  Tensor three({3, len, 1});
+  std::copy(all.data() + 5 * len, all.data() + 8 * len, three.data());
+  const auto in_three = branch.fused(three);
+  for (std::int64_t b = 0; b < 16; ++b) {
+    Tensor one({1, len, 1});
+    std::copy(all.data() + b * len, all.data() + (b + 1) * len, one.data());
+    const auto alone = branch.fused(one);
+    expect_same_bits(batched.data() + b * d, alone.data(), d,
+                     "batch of 16 vs alone, window " + std::to_string(b));
+    if (b >= 5 && b < 8) {
+      expect_same_bits(in_three.data() + (b - 5) * d, alone.data(), d,
+                       "batch of 3 vs alone, window " + std::to_string(b));
+    }
+  }
+}
+
+#ifdef _OPENMP
+TEST(Kernels, FusedEncoderBitIdenticalAcrossThreadCounts) {
+  const EncoderBranch branch(encoder_config(16, 4, 32), 95);
+  const Tensor seq = random_windows(16, 128, 96);
+  const int saved = omp_get_max_threads();
+  omp_set_num_threads(1);
+  const auto one = branch.fused(seq);
+  omp_set_num_threads(4);
+  const auto four = branch.fused(seq);
+  omp_set_num_threads(saved);
+  expect_same_bits(four.data(), one.data(),
+                   static_cast<std::int64_t>(one.size()), "4 threads vs 1");
+}
+#endif  // _OPENMP
+
+/// Calls of the fused encoder so far: its histogram's sample count.
+std::uint64_t fused_encoder_calls() {
+  return obs::MetricsRegistry::instance()
+      .histogram("nn.kernels.encoder_seconds")
+      .snapshot()
+      .count;
+}
+
+/// Turns the obs layer on for the dispatch tests and restores it.
+struct ObsGuard {
+  ObsGuard() : was(obs::enabled()) { obs::set_enabled(true); }
+  ~ObsGuard() { obs::set_enabled(was); }
+  bool was;
+};
+
+std::unique_ptr<core::Surrogate> random_surrogate(std::int64_t len,
+                                                  std::uint64_t seed) {
+  core::SurrogateConfig cfg;
+  cfg.sequence_length = len;
+  auto model =
+      std::make_unique<core::Surrogate>(cfg, lambda::ConfigGrid::standard());
+  randomize_parameters(*model, seed);
+  model->set_training(false);
+  return model;
+}
+
+TEST(Kernels, FusedEncoderDispatchedByEncodeSequence) {
+  // encode_sequence takes the fused kernel and gives the bits of the
+  // composed sequence branch run with gradients on.
+  ModeGuard mode;
+  ObsGuard obs_on;
+  const auto model = random_surrogate(48, 100);
+  const Tensor seq = random_windows(5, 48, 101);
+  const std::uint64_t before = fused_encoder_calls();
+  const Tensor fused = model->encode_sequence(seq);
+  EXPECT_EQ(fused_encoder_calls(), before + 1);
+  const Var composed = model->sequence_branch(make_leaf(seq.clone(), true));
+  EXPECT_TRUE(composed->requires_grad);
+  EXPECT_EQ(fused_encoder_calls(), before + 1);
+  ASSERT_EQ(fused.numel(), composed->value.numel());
+  expect_same_bits(fused.data(), composed->value.data(), fused.numel(), "E_1");
+}
+
+TEST(Kernels, FusedEncoderSkippedForReferenceModeAndGrads) {
+  ModeGuard mode;
+  ObsGuard obs_on;
+  const auto model = random_surrogate(32, 102);
+  const Tensor seq = random_windows(2, 32, 103);
+  const std::uint64_t before = fused_encoder_calls();
+  kernels::set_reference_mode(true);
+  (void)model->encode_sequence(seq);
+  kernels::set_reference_mode(false);
+  (void)model->sequence_branch(make_leaf(seq.clone(), false));  // tape on
+  EXPECT_EQ(fused_encoder_calls(), before);
+}
+
+TEST(Kernels, FusedEncoderSkippedWhileRecordingAttention) {
+  // Fig. 14's profile reads the attention the composed path records, so a
+  // recording model never takes the fused kernel.
+  ObsGuard obs_on;
+  const auto model = random_surrogate(32, 104);
+  model->set_record_attention(true);
+  const Tensor seq = random_windows(1, 32, 105);
+  const std::uint64_t before = fused_encoder_calls();
+  (void)model->encode_sequence(seq);
+  EXPECT_EQ(fused_encoder_calls(), before);
+  EXPECT_EQ(model->last_attention_profile().size(), 32U);
+  model->set_record_attention(false);
+  (void)model->encode_sequence(seq);
+  EXPECT_EQ(fused_encoder_calls(), before + 1);
+}
 
 // ---------------------------------------------------------------------------
 // Arena allocator
