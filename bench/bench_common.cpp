@@ -1,5 +1,6 @@
 #include "bench_common.hpp"
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -50,8 +51,18 @@ void write_gamma(const std::filesystem::path& path, double gamma) {
 
 Fixture::Fixture()
     : grid_(lambda::ConfigGrid::standard()), cache_dir_(cache_dir_from_env()) {
+  try {
+    spec_ = core::bench_spec(cache_dir_);
+  } catch (const Error& e) {
+    // A malformed DEEPBAT_TRAIN_EPOCHS / _SAMPLES fails like a bad flag,
+    // in every bench that builds a fixture.
+    std::fprintf(stderr,
+                 "%s\nusage: DEEPBAT_TRAIN_EPOCHS and DEEPBAT_TRAIN_SAMPLES "
+                 "take a whole positive number\n",
+                 e.what());
+    std::exit(2);
+  }
   std::filesystem::create_directories(cache_dir_);
-  spec_ = core::bench_spec(cache_dir_);
   if (const char* f = std::getenv("DEEPBAT_FORCE_RETRAIN")) {
     spec_.force_retrain = std::string(f) == "1";
   }
@@ -272,12 +283,9 @@ ReplayArgs parse_replay_args(int argc, const char* const* argv,
                   "replay args: --interval must be positive");
     for (const EnvKnob& knob : knobs) {
       if (const char* text = std::getenv(knob.name)) {
-        *knob.value = parse_positive_int(text, knob.name, knob.max);
+        *knob.value = parse_positive_int(text, knob.name, INT_MAX);
       }
     }
-    // The fixture's training knobs (DEEPBAT_TRAIN_EPOCHS / _SAMPLES), read
-    // here too so a malformed one fails like a bad flag.
-    (void)core::bench_spec(cache_dir_from_env());
   } catch (const Error& e) {
     std::fprintf(stderr,
                  "%s\nusage: %s [--slo S] [--hours H] [--interval S] "

@@ -10,7 +10,6 @@
 // set DEEPBAT_FORCE_RETRAIN=1 to retrain; set DEEPBAT_TRAIN_EPOCHS /
 // DEEPBAT_TRAIN_SAMPLES for a paper-scale run.
 
-#include <climits>
 #include <cstdint>
 #include <filesystem>
 #include <initializer_list>
@@ -133,18 +132,16 @@ struct ReplayArgs {
 
 /// A whole positive environment knob a bench reads next to its flags (e.g.
 /// DEEPBAT_TENANTS): when `name` is set, parse_replay_args stores it in
-/// *value, 1 <= value <= max.
+/// *value, 1 <= value <= INT_MAX.
 struct EnvKnob {
   const char* name;
   std::int64_t* value;
-  std::int64_t max = INT_MAX;
 };
 
 /// Parse the standard replay flags over per-figure defaults, then the
-/// bench's `knobs` and the fixture's training knobs (core::bench_spec).
-/// Unknown flags are an error (CliFlags semantics), so every replay bench
-/// exposes exactly the same surface; a malformed flag or knob prints the
-/// error and the usage line and exits with status 2.
+/// bench's `knobs`. Unknown flags are an error (CliFlags semantics), so
+/// every replay bench exposes exactly the same surface; a malformed flag or
+/// knob prints the error and the usage line and exits with status 2.
 ReplayArgs parse_replay_args(int argc, const char* const* argv,
                              ReplayArgs defaults,
                              std::initializer_list<EnvKnob> knobs = {});

@@ -295,16 +295,9 @@ void bench_encoder_forward(double min_sample_s, int samples) {
   PositionalEncoding pos(cfg.model_dim, cfg.max_len);
   TransformerEncoder encoder(cfg, rng, 22);
   encoder.set_training(false);
-  const auto layers = encoder.fused_weights();
-  const kernels::EncoderWeights weights{
-      cfg.model_dim,
-      cfg.num_heads,
-      cfg.ffn_hidden,
-      embed.weight()->value.data(),
-      embed.bias()->value.data(),
-      pos.table().data(),
-      layers.data(),
-      static_cast<std::int64_t>(layers.size())};
+  std::vector<kernels::EncoderLayerWeights> layers;
+  const kernels::EncoderWeights weights =
+      fused_encoder_weights(embed, pos, encoder, layers);
   set_threads(1);
   NoGradGuard no_grad;
   for (const std::int64_t batch : {1, 16}) {

@@ -131,8 +131,9 @@ nn::Var Surrogate::sequence_branch(const nn::Var& sequences) const {
 
 bool Surrogate::encoder_fusable(const nn::Tensor& sequences) const {
   // No gradient tape (which also leaves every dropout inactive), a
-  // Transformer encoder the kernel can run, and a window the positional
-  // table covers (longer ones take the composed path and its error).
+  // Transformer encoder the kernel can run (the branch passes it no mask),
+  // and a window the positional table covers (longer ones take the
+  // composed path and its error).
   return !nn::grad_enabled() && config_.encoder == EncoderType::kTransformer &&
          encoder_.inference_fusable() && sequences.dim(1) >= 1 &&
          sequences.dim(1) <= pos_enc_.max_len();
@@ -141,16 +142,9 @@ bool Surrogate::encoder_fusable(const nn::Tensor& sequences) const {
 nn::Tensor Surrogate::fused_summary(const nn::Tensor& sequences) const {
   const std::int64_t batch = sequences.dim(0);
   const std::int64_t len = sequences.dim(1);
-  const auto layers = encoder_.fused_weights();
-  const nn::kernels::EncoderWeights weights{
-      config_.model_dim,
-      config_.num_heads,
-      config_.ffn_hidden,
-      seq_embed_.weight()->value.data(),
-      seq_embed_.bias()->value.data(),
-      pos_enc_.table().data(),
-      layers.data(),
-      static_cast<std::int64_t>(layers.size())};
+  std::vector<nn::kernels::EncoderLayerWeights> layers;
+  const nn::kernels::EncoderWeights weights =
+      nn::fused_encoder_weights(seq_embed_, pos_enc_, encoder_, layers);
   nn::Tensor pooled({batch, config_.model_dim});
   nn::kernels::fused_encoder(sequences.data(), batch, len, weights,
                              pooled.data());

@@ -31,11 +31,7 @@ class MultiHeadAttention : public Module {
 
   std::int64_t num_heads() const { return heads_; }
 
-  /// True when forward() may run inside the fused inference encoder:
-  /// attention recording off and attention dropout inactive.
-  bool inference_fusable() const {
-    return !record_attention_ && !attn_dropout_.is_active();
-  }
+  bool record_attention() const { return record_attention_; }
 
   /// The projections, for the fused inference encoder.
   const Linear& wq() const { return wq_; }

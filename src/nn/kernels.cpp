@@ -496,6 +496,12 @@ constexpr std::int64_t kSdpaRows = 16;
 // the float lane count of the key-vectorized reductions this kernel
 // replaced on AVX-512, so those builds keep their results when lk % 16 == 0.
 constexpr std::int64_t kSdpaParts = 16;
+// encoder_window pads its K/V panels to whole row blocks and walks them in
+// steps of kSdpaParts, so a row block must hold whole key partitions. The
+// extra zero keys that R > P would add change no sum (each adds +0 to a
+// partial whose total starts from +0).
+static_assert(kSdpaRows % kSdpaParts == 0,
+              "a row block must be whole key partitions");
 typedef float RowVec __attribute__((vector_size(kSdpaRows * sizeof(float))));
 
 // Per-thread attention scratch: K/V panels and per-row-block vectors.
@@ -1020,7 +1026,9 @@ void encoder_window(const float* seq, std::int64_t len,
   const std::int64_t f = w.ffn;
   const std::int64_t dh = d / w.heads;
   const std::int64_t nb = (len + R - 1) / R;
-  const std::int64_t lp = nb * R;  // positions padded to whole blocks
+  // Positions padded to whole blocks: a multiple of kSdpaParts, and
+  // fused_sdpa's lkp while R == P.
+  const std::int64_t lp = nb * R;
   const float scale = 1.0F / std::sqrt(static_cast<float>(dh));
   // x, q [d, nb]; per block: the attention context ctx [d], the sums
   // before each norm y [d], LN1's output h [d], the FFN hidden z [f], the

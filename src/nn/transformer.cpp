@@ -63,11 +63,6 @@ Var TransformerEncoderLayer::forward(const Var& x, const Var& mask) const {
   return norm2_.forward(add(h, drop2_.forward(ffn_.forward(h))));
 }
 
-bool TransformerEncoderLayer::inference_fusable() const {
-  return attn_.inference_fusable() && !drop1_.is_active() &&
-         !drop2_.is_active();
-}
-
 kernels::EncoderLayerWeights TransformerEncoderLayer::fused_weights() const {
   const auto data = [](const Var& p) { return p->value.data(); };
   return {data(attn_.wq().weight()), data(attn_.wq().bias()),
@@ -92,19 +87,11 @@ TransformerEncoder::TransformerEncoder(const TransformerConfig& cfg, Rng& rng,
   }
 }
 
-bool TransformerEncoder::inference_fusable(const Var& mask) const {
-  if (mask || kernels::reference_mode()) return false;
-  return std::all_of(layers_.begin(), layers_.end(), [](const auto& layer) {
-    return layer->inference_fusable();
-  });
-}
-
-std::vector<kernels::EncoderLayerWeights> TransformerEncoder::fused_weights()
-    const {
-  std::vector<kernels::EncoderLayerWeights> out;
-  out.reserve(layers_.size());
-  for (const auto& layer : layers_) out.push_back(layer->fused_weights());
-  return out;
+bool TransformerEncoder::inference_fusable() const {
+  return !kernels::reference_mode() &&
+         std::none_of(layers_.begin(), layers_.end(), [](const auto& layer) {
+           return layer->self_attention().record_attention();
+         });
 }
 
 Var TransformerEncoder::forward(const Var& x, const Var& mask) const {
@@ -113,6 +100,25 @@ Var TransformerEncoder::forward(const Var& x, const Var& mask) const {
     h = layer->forward(h, mask);
   }
   return h;
+}
+
+kernels::EncoderWeights fused_encoder_weights(
+    const Linear& embed, const PositionalEncoding& pos,
+    const TransformerEncoder& encoder,
+    std::vector<kernels::EncoderLayerWeights>& layers) {
+  layers.clear();
+  for (std::int64_t i = 0; i < encoder.num_layers(); ++i) {
+    layers.push_back(encoder.layer(i).fused_weights());
+  }
+  const TransformerEncoderLayer& first = encoder.layer(0);
+  return {embed.out_features(),
+          first.self_attention().num_heads(),
+          first.ffn_hidden(),
+          embed.weight()->value.data(),
+          embed.bias()->value.data(),
+          pos.table().data(),
+          layers.data(),
+          encoder.num_layers()};
 }
 
 }  // namespace deepbat::nn

@@ -48,12 +48,10 @@ class TransformerEncoderLayer : public Module {
 
   Var forward(const Var& x, const Var& mask = nullptr) const;
 
-  /// True when no dropout of the layer is active and its attention is not
-  /// recording: the layer's part of TransformerEncoder::inference_fusable.
-  bool inference_fusable() const;
-
   /// Pointers into this layer's parameters for kernels::fused_encoder.
   kernels::EncoderLayerWeights fused_weights() const;
+
+  std::int64_t ffn_hidden() const { return ffn_.fc1().out_features(); }
 
   MultiHeadAttention& self_attention() { return attn_; }
   const MultiHeadAttention& self_attention() const { return attn_; }
@@ -75,14 +73,12 @@ class TransformerEncoder : public Module {
 
   Var forward(const Var& x, const Var& mask = nullptr) const;
 
-  /// True when forward(x, mask) without a gradient tape may run as
-  /// kernels::fused_encoder, bit for bit (DESIGN.md §7): no mask, reference
-  /// mode off, no dropout active and no attention recording in any layer.
-  /// Whether a gradient is needed is the caller's half of the condition.
-  bool inference_fusable(const Var& mask = nullptr) const;
-
-  /// Every layer's fused_weights(), in order.
-  std::vector<kernels::EncoderLayerWeights> fused_weights() const;
+  /// True when forward(x) without a gradient tape may run as
+  /// kernels::fused_encoder, bit for bit (DESIGN.md §7): reference mode off
+  /// and no layer recording attention. The caller's half of the condition
+  /// is no gradient tape (which also leaves every dropout inactive) and no
+  /// mask (the kernel takes none).
+  bool inference_fusable() const;
 
   std::int64_t num_layers() const {
     return static_cast<std::int64_t>(layers_.size());
@@ -97,5 +93,14 @@ class TransformerEncoder : public Module {
  private:
   std::vector<std::unique_ptr<TransformerEncoderLayer>> layers_;
 };
+
+/// kernels::fused_encoder's weights for a gap embedding Linear(1, D), a
+/// positional table and an encoder stack. `layers` receives every layer's
+/// fused_weights() in order; the result points into it and into the
+/// modules' parameters, so all of them must outlive it.
+kernels::EncoderWeights fused_encoder_weights(
+    const Linear& embed, const PositionalEncoding& pos,
+    const TransformerEncoder& encoder,
+    std::vector<kernels::EncoderLayerWeights>& layers);
 
 }  // namespace deepbat::nn

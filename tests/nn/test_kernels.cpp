@@ -715,8 +715,7 @@ class EncoderBranch : public Module {
       : rng_(seed),
         embed_(1, cfg.model_dim, rng_),
         pos_(cfg.model_dim, cfg.max_len),
-        encoder_(cfg, rng_, seed + 1),
-        cfg_(cfg) {
+        encoder_(cfg, rng_, seed + 1) {
     register_module("embed", &embed_);
     register_module("encoder", &encoder_);
     randomize_parameters(*this, seed + 2);
@@ -732,17 +731,10 @@ class EncoderBranch : public Module {
   }
 
   std::vector<float> fused(const Tensor& seq) const {
-    const auto layers = encoder_.fused_weights();
-    const kernels::EncoderWeights w{cfg_.model_dim,
-                                    cfg_.num_heads,
-                                    cfg_.ffn_hidden,
-                                    embed_.weight()->value.data(),
-                                    embed_.bias()->value.data(),
-                                    pos_.table().data(),
-                                    layers.data(),
-                                    static_cast<std::int64_t>(layers.size())};
-    std::vector<float> out(static_cast<std::size_t>(seq.dim(0) *
-                                                    cfg_.model_dim));
+    std::vector<kernels::EncoderLayerWeights> layers;
+    const kernels::EncoderWeights w =
+        fused_encoder_weights(embed_, pos_, encoder_, layers);
+    std::vector<float> out(static_cast<std::size_t>(seq.dim(0) * w.dim));
     kernels::fused_encoder(seq.data(), seq.dim(0), seq.dim(1), w, out.data());
     return out;
   }
@@ -752,7 +744,6 @@ class EncoderBranch : public Module {
   Linear embed_;
   PositionalEncoding pos_;
   TransformerEncoder encoder_;
-  TransformerConfig cfg_;
 };
 
 TransformerConfig encoder_config(std::int64_t dim, std::int64_t heads,
